@@ -9,6 +9,7 @@ verify module runs the full agreement suites.
 from .errors import (
     CapExceededError,
     FusionkitError,
+    InternalError,
     ParseError,
     PreconditionError,
     UnsupportedTypeError,
@@ -73,6 +74,7 @@ __all__ = [
     "CartanType",
     "FusionTable",
     "FusionkitError",
+    "InternalError",
     "ParseError",
     "PreconditionError",
     "RationalMatrix",

@@ -4,7 +4,9 @@ One JSON document per entry; the filename is the SHA-256 of the canonical
 key, so lookups never scan the directory. All integers in payloads are
 decimal strings, which keeps round-trips lossless at any magnitude. Writes go
 through a temp file plus rename, so concurrent readers always see a complete
-document.
+document. A document that cannot be parsed back whole, or that does not match
+the request (a table's level and alcove, a diagram's highest weight and Weyl
+dimension), counts as a miss, so the caller recomputes and overwrites it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fusion import FusionTable
-from .multiplicity import WeightDiagram
+from .fusion import FusionTable, level_alcove
+from .multiplicity import WeightDiagram, weyl_dimension
 from .rootdata import RootSystem, Weight
 
 SCHEMA_VERSION = 1
@@ -52,6 +54,16 @@ def _parse_coords(s: str) -> Weight:
     return tuple(int(p) for p in s.split(","))
 
 
+def _parse_int(s: str) -> int:
+    if type(s) is not str:
+        raise TypeError(f"expected a decimal string, got {s!r}")
+    return int(s)
+
+
+# what a well-formed JSON document with a damaged payload raises while parsing
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+
 def diagram_key(cartan_type: str, lam: Weight) -> str:
     return f"weight_diagram|{cartan_type}|{_coords_str(lam)}"
 
@@ -74,10 +86,11 @@ class DiskCache:
             return None
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
         if (
-            doc.get("schema_version") != SCHEMA_VERSION
+            not isinstance(doc, dict)
+            or doc.get("schema_version") != SCHEMA_VERSION
             or doc.get("payload_kind") != kind
             or doc.get("key") != key
         ):
@@ -107,17 +120,22 @@ class DiskCache:
     # -- weight diagrams -------------------------------------------------
 
     def load_diagram(self, rs: RootSystem, lam: Weight) -> WeightDiagram | None:
-        key = diagram_key(str(rs.cartan_type), tuple(lam))
+        """The stored diagram of V^lam; None on a miss or a damaged document."""
+        lam = tuple(lam)
+        key = diagram_key(str(rs.cartan_type), lam)
         doc = self._read(key, "weight_diagram")
         if doc is None:
             return None
-        payload = doc["payload"]
-        table = {
-            _parse_coords(entry[0]): int(entry[1]) for entry in payload["entries"]
-        }
-        return WeightDiagram(
-            highest=_parse_coords(payload["highest"]), table=table, root_system=rs
-        )
+        try:
+            payload = doc["payload"]
+            table = {_parse_coords(w): _parse_int(m) for w, m in payload["entries"]}
+            highest = _parse_coords(payload["highest"])
+        except _MALFORMED:
+            return None
+        diagram = WeightDiagram(highest=highest, table=table, root_system=rs)
+        if highest != lam or diagram.dimension != weyl_dimension(rs, lam):
+            return None
+        return diagram
 
     def store_diagram(self, rs: RootSystem, diagram: WeightDiagram) -> None:
         key = diagram_key(str(rs.cartan_type), diagram.highest)
@@ -134,21 +152,25 @@ class DiskCache:
     # -- fusion tables ---------------------------------------------------
 
     def load_table(self, rs: RootSystem, level: int) -> FusionTable | None:
+        """The stored level table; None on a miss, a damaged document or a wrong alcove."""
         key = table_key(str(rs.cartan_type), level)
         doc = self._read(key, "fusion_table")
         if doc is None:
             return None
-        payload = doc["payload"]
-        coeffs = {}
-        for entry in payload["entries"]:
-            lam, mu, nu = (_parse_coords(p) for p in entry[0].split("|"))
-            coeffs[(lam, mu, nu)] = int(entry[1])
-        alcove = tuple(_parse_coords(p) for p in payload["alcove"])
+        try:
+            payload = doc["payload"]
+            stored_level = _parse_int(payload["level"])
+            alcove = tuple(_parse_coords(p) for p in payload["alcove"])
+            coeffs = {}
+            for triple, c in payload["entries"]:
+                lam, mu, nu = (_parse_coords(p) for p in triple.split("|"))
+                coeffs[(lam, mu, nu)] = _parse_int(c)
+        except _MALFORMED:
+            return None
+        if stored_level != level or list(alcove) != level_alcove(rs, level):
+            return None
         return FusionTable(
-            cartan_type=str(rs.cartan_type),
-            level=int(payload["level"]),
-            alcove=alcove,
-            coeffs=coeffs,
+            cartan_type=str(rs.cartan_type), level=level, alcove=alcove, coeffs=coeffs
         )
 
     def store_table(self, rs: RootSystem, table: FusionTable) -> None:

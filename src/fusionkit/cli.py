@@ -366,7 +366,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.jobs < 1:
+            raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "fusion":
+            if extra[:1] == ["--"]:
+                extra = extra[1:]
             if extra and len(extra) != 3:
                 raise ParseError("fusion takes either no weights or exactly lam mu nu")
             args.triple = extra

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ParseError -> 2, PreconditionError -> 3,
-CapExceededError -> 4, anything else -> 1.
+CapExceededError -> 4, anything else (InternalError included) -> 1.
 """
 
 
@@ -23,3 +23,7 @@ class PreconditionError(FusionkitError):
 
 class CapExceededError(FusionkitError):
     """Requested object is larger than the configured safety cap."""
+
+
+class InternalError(FusionkitError):
+    """An invariant of the computation failed: a bug, never a property of the input."""

@@ -1,48 +1,91 @@
-"""Small dense matrices over the exact rationals.
+"""Small dense matrices over the exact rationals, stored as integers.
 
-Entries are ``fractions.Fraction`` throughout and elimination uses exact
-pivots, so ranks, kernels and inverses are never approximate. Matrices with
-zero rows or zero columns are legal and behave as the empty linear map; a
-zero-row matrix is the zero map into a zero-dimensional space, whose kernel
-is everything.
+A matrix keeps a tuple of rows of integer numerators ``num`` over one
+positive common denominator ``den``. The pair is normalised so that ``den``
+and all numerators have gcd 1 (a zero matrix has ``den == 1``); that form is
+unique for each rational matrix, so equality and hashing go by value.
+Products, sums, scaling, stacking and Kronecker products work on the
+numerators with Python ints. Rank uses fraction-free Bareiss elimination
+(Bareiss 1968); kernels and inverses use its Gauss-Jordan variant, after
+which every pivot equals one integer d and the reduced row echelon form is
+the integer matrix over d. Nothing is ever approximate. ``data``, ``row``,
+``column`` and ``m[i, j]`` hand out ``fractions.Fraction`` entries, built on
+first use.
+
+Matrices with zero rows or zero columns are legal and behave as the empty
+linear map; a zero-row matrix is the zero map into a zero-dimensional space,
+whose kernel is everything.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
+
+from .errors import InternalError
 
 Q = Fraction
 
 
 class RationalMatrix:
-    """Immutable-by-convention dense rational matrix."""
+    """Immutable-by-convention dense rational matrix: ``num / den``."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den", "_data")
 
     def __init__(self, data: Sequence[Sequence], cols: int | None = None):
-        self.data = tuple(tuple(Q(x) for x in row) for row in data)
-        self.rows = len(self.data)
-        if self.rows:
-            widths = {len(row) for row in self.data}
+        entries = [[x if type(x) is int else Q(x) for x in row] for row in data]
+        rows = len(entries)
+        if rows:
+            widths = {len(row) for row in entries}
             if len(widths) != 1:
                 raise ValueError("ragged rows")
             width = widths.pop()
             if cols is not None and cols != width:
                 raise ValueError("explicit column count disagrees with row data")
-            self.cols = width
-        else:
-            if cols is None:
-                raise ValueError("a zero-row matrix needs an explicit column count")
-            self.cols = cols
+            cols = width
+        elif cols is None:
+            raise ValueError("a zero-row matrix needs an explicit column count")
+        den = lcm(*(x.denominator for row in entries for x in row if type(x) is not int))
+        num = tuple(
+            tuple(x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row)
+            for row in entries
+        )
+        # each Fraction is in lowest terms, so num / den already is
+        self._set(num, den, rows, cols)
+
+    def _set(self, num, den, rows, cols) -> None:
+        self.num = num
+        self.den = den
+        self.rows = rows
+        self.cols = cols
+        self._data = None
+
+    @classmethod
+    def _from_ints(cls, num, den: int, rows: int, cols: int) -> "RationalMatrix":
+        """Wrap integer rows over a nonzero denominator, normalising the pair."""
+        if den < 0:
+            num = tuple(tuple(map(neg, row)) for row in num)
+            den = -den
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
+        m = cls.__new__(cls)
+        m._set(num, den, rows, cols)
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols)
+        return cls._from_ints(((0,) * cols,) * rows, 1, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        num = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return cls._from_ints(num, 1, n, n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RationalMatrix":
@@ -58,28 +101,40 @@ class RationalMatrix:
         width = mats[0].cols
         if any(m.cols != width for m in mats):
             raise ValueError("column mismatch in vstack")
-        rows: list[Sequence] = []
+        den = lcm(*(m.den for m in mats))
+        num = []
         for m in mats:
-            rows.extend(m.data)
-        return cls(rows, width)
+            f = den // m.den
+            num.extend(m.num if f == 1 else (tuple(f * x for x in row) for row in m.num))
+        return cls._from_ints(tuple(num), den, len(num), width)
+
+    @property
+    def data(self) -> tuple[tuple[Q, ...], ...]:
+        got = self._data
+        if got is None:
+            den = self.den
+            got = tuple(tuple(Q(x, den) for x in row) for row in self.num)
+            self._data = got
+        return got
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols}, {[[str(x) for x in r] for r in self.data]})"
 
     def __getitem__(self, key) -> Q:
         i, j = key
-        return self.data[i][j]
+        return Q(self.num[i][j], self.den)
 
     def row(self, i: int) -> tuple[Q, ...]:
         return self.data[i]
@@ -88,126 +143,148 @@ class RationalMatrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return RationalMatrix._from_ints(num, self.den, self.cols, self.rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0:
+        if self.rows == 0 or self.cols == 0 or other.cols == 0:
             return RationalMatrix.zeros(self.rows, other.cols)
-        if self.cols == 0:
-            return RationalMatrix.zeros(self.rows, other.cols)
-        ot = list(zip(*other.data))
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in ot]
-            for row in self.data
-        ]
-        return RationalMatrix(out, other.cols)
+        ot = tuple(zip(*other.num))
+        num = tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.num)
+        return RationalMatrix._from_ints(num, self.den * other.den, self.rows, other.cols)
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _combine(self, other: "RationalMatrix", op) -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.cols
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        if fa == 1 and fb == 1:
+            num = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.num, other.num))
+        else:
+            num = tuple(
+                tuple(op(fa * a, fb * b) for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.num, other.num)
+            )
+        return RationalMatrix._from_ints(num, den, self.rows, self.cols)
+
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, add)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(-1)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "RationalMatrix":
         return self.scale(-1)
 
     def scale(self, s) -> "RationalMatrix":
         s = Q(s)
-        return RationalMatrix([[s * x for x in row] for row in self.data], self.cols)
+        a = s.numerator
+        num = tuple(tuple(a * x for x in row) for row in self.num)
+        return RationalMatrix._from_ints(num, self.den * s.denominator if a else 1, self.rows, self.cols)
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [[Q(0)] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if not a:
-                    continue
-                for p in range(other.rows):
-                    base = other.data[p]
-                    orow = out[i * other.rows + p]
-                    off = j * other.cols
-                    for q in range(other.cols):
-                        orow[off + q] = a * base[q]
-        return RationalMatrix(out, cols)
+        num = tuple(
+            tuple(a * b for a in row_a for b in row_b)
+            for row_a in self.num
+            for row_b in other.num
+        )
+        return RationalMatrix._from_ints(
+            num, self.den * other.den, self.rows * other.rows, self.cols * other.cols
+        )
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.num))
 
-    def _rref(self) -> tuple[list[list[Q]], list[int]]:
-        m = [list(row) for row in self.data]
-        pivots: list[int] = []
+    def rank(self) -> int:
+        """Bareiss elimination below the pivots; only the pivot count is kept."""
+        m = [list(row) for row in self.num if any(row)]
+        n = len(m)
         r = 0
+        prev = 1
         for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
+            if r == n:
+                break
+            pr = next((i for i in range(r, n) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
+            prow = m[r]
+            p = prow[c]
+            for i in range(r + 1, n):
+                row = m[i]
+                row[c + 1:] = _bareiss_step(row[c + 1:], prow[c + 1:], p, row[c], prev)
+            prev = p
             r += 1
-            if r == self.rows:
-                break
-        return m, pivots
-
-    def rank(self) -> int:
-        return len(self._rref()[1])
+        return r
 
     def kernel(self) -> "RationalMatrix":
         """Basis of the right kernel, one column per free variable."""
-        m, pivots = self._rref()
+        m, pivots, d = _gauss_jordan([list(row) for row in self.num], self.cols)
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        columns = []
-        for f in free:
-            v = [Q(0)] * self.cols
-            v[f] = Q(1)
+        # column for free f: x_f = 1 and x_pc = -rref[r][f] = -m[r][f] / d
+        out = [[0] * len(free) for _ in range(self.cols)]
+        for k, f in enumerate(free):
+            out[f][k] = d
             for r, pc in enumerate(pivots):
-                v[pc] = -m[r][f]
-            columns.append(v)
-        return RationalMatrix.from_columns(columns, self.cols)
-
-    def nullity(self) -> int:
-        return self.cols - self.rank()
+                out[pc][k] = -m[r][f]
+        return RationalMatrix._from_ints(tuple(map(tuple, out)), d, self.cols, len(free))
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
-        aug = RationalMatrix(
-            [list(self.data[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)], 2 * n
-        )
-        m, pivots = aug._rref()
+        aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.num)]
+        m, pivots, d = _gauss_jordan(aug, n)
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return RationalMatrix([row[n:] for row in m], n)
+        # (num / den)^-1 = den * num^-1 and num^-1 is the right half over d
+        den = self.den
+        num = tuple(tuple(den * x for x in row[n:]) for row in m)
+        return RationalMatrix._from_ints(num, d, n, n)
 
-    def solve(self, rhs: "RationalMatrix") -> "RationalMatrix":
-        """Solve self @ X = rhs for square nonsingular self."""
-        if self.rows != self.cols:
-            raise ValueError("solve needs a square matrix")
-        if rhs.rows != self.rows:
-            raise ValueError("rhs row mismatch")
-        n = self.rows
-        aug = RationalMatrix(
-            [list(self.data[i]) + list(rhs.data[i]) for i in range(n)], n + rhs.cols
-        )
-        m, pivots = aug._rref()
-        if pivots != list(range(n)):
-            raise ValueError("singular matrix")
-        return RationalMatrix([row[n:] for row in m], rhs.cols)
+
+def _bareiss_step(row: list[int], prow: list[int], p: int, f: int, prev: int) -> list[int]:
+    """(p * row - f * prow) / prev; Sylvester's identity makes the division exact."""
+    if prev == 1:
+        return [p * a - f * b for a, b in zip(row, prow)]
+    out = []
+    for a, b in zip(row, prow):
+        q, rem = divmod(p * a - f * b, prev)
+        if rem:
+            raise InternalError(f"inexact Bareiss division by {prev}")
+        out.append(q)
+    return out
+
+
+def _gauss_jordan(m: list[list[int]], pivot_cols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan on integer rows, pivoting in the first pivot_cols columns.
+
+    Returns the rows, the pivot columns and the common pivot value d: every
+    pivot ends equal to d, so the reduced row echelon form is m / d.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(pivot_cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(rows):
+            if i != r:
+                m[i] = _bareiss_step(m[i], prow, p, m[i][c], prev)
+        pivots.append(c)
+        prev = p
+        r += 1
+    return m, pivots, prev
 
 
 def kernel(matrix: RationalMatrix) -> RationalMatrix:

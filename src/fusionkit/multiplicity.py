@@ -13,9 +13,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Mapping
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .rootdata import (
     RootSystem,
     Weight,
@@ -51,16 +53,40 @@ def inner_multiplicity(diagram: WeightDiagram, nu: Weight) -> int:
     return diagram.multiplicity(nu)
 
 
+_WEYL_FUNCTIONALS: dict[str, tuple[tuple[tuple[int, ...], ...], int]] = {}
+
+
+def _weyl_functionals(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer functionals D (., alpha) per positive root, and prod_alpha D (rho, alpha).
+
+    D is the common denominator of ``sym_form``, so every value is an integer
+    and the D's cancel in the Weyl dimension quotient.
+    """
+    key = str(rs.cartan_type)
+    got = _WEYL_FUNCTIONALS.get(key)
+    if got is None:
+        den = lcm(*(x.denominator for row in rs.sym_form for x in row))
+        sym = [[int(x * den) for x in row] for row in rs.sym_form]
+        funcs = tuple(
+            tuple(sum(sym[i][j] * alpha[j] for j in range(rs.rank)) for i in range(rs.rank))
+            for alpha in rs.positive_roots
+        )
+        denom = prod(sum(map(mul, f, rs.rho)) for f in funcs)
+        got = _WEYL_FUNCTIONALS.setdefault(key, (funcs, denom))
+    return got
+
+
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """Weyl dimension formula, evaluated exactly."""
+    """Weyl dimension formula, evaluated exactly in integers."""
     if not is_dominant(lam):
         raise PreconditionError(f"{lam} is not dominant")
+    funcs, denom = _weyl_functionals(rs)
     lam_rho = wadd(lam, rs.rho)
-    num = Fraction(1)
-    for alpha in rs.positive_roots:
-        num *= Fraction(form(rs, lam_rho, alpha), form(rs, rs.rho, alpha))
-    assert num.denominator == 1
-    return int(num)
+    num = prod(sum(map(mul, f, lam_rho)) for f in funcs)
+    dim, rem = divmod(num, denom)
+    if rem:
+        raise InternalError(f"Weyl dimension of {lam} is not an integer: {num}/{denom}")
+    return dim
 
 
 def weight_support(rs: RootSystem, lam: Weight) -> dict[Weight, int]:

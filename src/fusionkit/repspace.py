@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, InternalError, PreconditionError
 from .linalg import RationalMatrix, kernel
 from .multiplicity import WeightDiagram, weight_diagram, weyl_dimension
 from .rootdata import (
@@ -24,6 +24,7 @@ from .rootdata import (
     alpha_coordinates,
     is_dominant,
     wadd,
+    wscale,
     wsub,
 )
 
@@ -39,7 +40,8 @@ class RepModule:
     All maps are keyed by the source weight: ``lowering[(i, b)]`` is
     f_i : V_b -> V_{b - alpha_i}, ``raising[(i, b)]`` is e_i : V_b -> V_{b + alpha_i},
     and the theta blocks shift by +-theta. Immutable once built (theta blocks
-    are attached by build_theta_operators before the module is shared).
+    are attached by build_theta_operators before the module is shared); the
+    private dicts only memoise values derived from it.
     """
 
     root_system: RootSystem
@@ -52,6 +54,10 @@ class RepModule:
     theta_raising: dict[Weight, RationalMatrix] | None = None
     theta_lowering: dict[Weight, RationalMatrix] | None = None
     _gram_inv: dict[Weight, RationalMatrix] = field(default_factory=dict, repr=False)
+    _op_blocks: dict[str, tuple] = field(default_factory=dict, repr=False)
+    _powers: dict[tuple[str, Weight], tuple[RationalMatrix, ...]] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -135,7 +141,8 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
 
         target = diagram.table[beta]
         chosen = _greedy_independent(sg, total, target)
-        assert len(chosen) == target, f"rank deficit at {beta}"
+        if len(chosen) != target:
+            raise InternalError(f"rank deficit at {beta}: {len(chosen)} < {target}")
 
         span_pairs = [(i, b) for i in dirs for b in range(dims[i])]
         labels = tuple((i,) + basis[ups[i]][b] for i, b in (span_pairs[s] for s in chosen))
@@ -164,7 +171,8 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
         raising=raising,
     )
     module._gram_inv.update(gram_inv)
-    assert module.dimension == dim
+    if module.dimension != dim:
+        raise InternalError(f"built dim V^{lam} = {module.dimension} != Weyl dimension {dim}")
     return module
 
 
@@ -267,11 +275,15 @@ def _block_commutator(module: RepModule, a_blocks, a_shift, b_blocks, b_shift):
     return out, shift
 
 
-_OPERATOR_KINDS = ("e", "f", "etheta", "ftheta")
-
-
 def _operator_blocks(module: RepModule, op: str):
     """Source-keyed blocks plus weight shift for an operator id like "e0" or "ftheta"."""
+    got = module._op_blocks.get(op)
+    if got is None:  # only valid ids are ever stored, so the checks below still hold
+        got = module._op_blocks[op] = _collect_operator_blocks(module, op)
+    return got
+
+
+def _collect_operator_blocks(module: RepModule, op: str):
     rs = module.root_system
     if op == "etheta" or op == "ftheta":
         if module.theta_raising is None or module.theta_lowering is None:
@@ -293,26 +305,34 @@ def _operator_blocks(module: RepModule, op: str):
 
 
 def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> RationalMatrix:
-    """Matrix of op^p out of V_beta (a zero-row matrix when the image space dies)."""
+    """Matrix of op^p out of V_beta (a zero-row matrix when the image space dies).
+
+    The powers [1, op, op^2, ...] out of V_beta are memoised on the module and
+    extended only as far as the largest p asked for, one block product per
+    new power; once the image space dies the chain ends in a zero-row matrix.
+    """
     beta = tuple(beta)
     if beta not in module.basis_index:
         raise PreconditionError(f"{beta} is not a weight of V^{module.highest}")
     if p < 0:
         raise PreconditionError("operator power must be nonnegative")
     blocks, shift = _operator_blocks(module, op)
-    src_dim = module.dim_at(beta)
-    mat = RationalMatrix.identity(src_dim)
-    cur = beta
-    for _ in range(p):
-        tgt = wadd(cur, shift)
-        blk = blocks.get(cur)
-        if blk is None:
-            blk = RationalMatrix.zeros(module.dim_at(tgt), module.dim_at(cur))
-        mat = blk @ mat
-        cur = tgt
-        if mat.rows == 0:
-            return RationalMatrix.zeros(0, src_dim)
-    return mat
+    chain = module._powers.get((op, beta))
+    if chain is None:
+        chain = (RationalMatrix.identity(module.dim_at(beta)),)
+    if p >= len(chain) and chain[-1].rows:
+        # extend a copy and publish it whole, so concurrent readers never see a partial chain
+        powers = list(chain)
+        cur = wadd(beta, wscale(len(powers) - 1, shift))
+        while len(powers) <= p and powers[-1].rows:
+            tgt = wadd(cur, shift)
+            blk = blocks.get(cur)
+            if blk is None:
+                blk = RationalMatrix.zeros(module.dim_at(tgt), module.dim_at(cur))
+            powers.append(blk if len(powers) == 1 else blk @ powers[-1])
+            cur = tgt
+        chain = module._powers[(op, beta)] = tuple(powers)
+    return chain[min(p, len(chain) - 1)]
 
 
 def power_kernel(module: RepModule, op: str, p: int, beta: Weight) -> RationalMatrix:
@@ -327,12 +347,12 @@ _MODULE_LOCK = threading.Lock()
 def cached_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) -> RepModule:
     """Shared, fully built (theta included) module; cap still applies per call."""
     lam = tuple(lam)
-    dim = weyl_dimension(rs, lam)
-    if dim > max_dim:
-        raise CapExceededError(f"dim V^{lam} = {dim} > cap {max_dim}")
     key = (str(rs.cartan_type), lam)
     got = _MODULE_MEMO.get(key)
     if got is not None:
+        # build_module checked that this equals the Weyl dimension
+        if got.dimension > max_dim:
+            raise CapExceededError(f"dim V^{lam} = {got.dimension} > cap {max_dim}")
         return got
     module = build_theta_operators(rs, build_module(rs, lam, max_dim))
     with _MODULE_LOCK:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +161,38 @@ def test_fusion_table_jobs_matches_sequential(capsys, tmp_path):
         "--cache-dir", str(tmp_path / "b"),
     )
     assert seq == par
+
+
+def test_fusion_accepts_double_dash_before_weights(capsys, tmp_path):
+    plain = run(capsys, "fusion", "A2", "--level", "1", "--cache-dir", str(tmp_path),
+                "1,0", "1,0", "0,1")
+    dashed = run(capsys, "fusion", "A2", "--level", "1", "--cache-dir", str(tmp_path),
+                 "--", "1,0", "1,0", "0,1")
+    assert dashed == plain and plain[0] == 0
+    code, _ = run(capsys, "fusion", "A1", "--level", "1", "--", "-1", "1", "0")
+    assert code == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_parse_error(capsys, tmp_path, jobs):
+    code, out = run(capsys, "fusion", "A2", "--level", "1", "--jobs", jobs,
+                    "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+
+
+def test_optimised_interpreter_prints_the_same_bytes(tmp_path):
+    """The invariant checks are exceptions, not asserts, so -O changes nothing."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env.pop("FUSIONKIT_CACHE", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "fusionkit.cli", "fusion", "A2", "--level", "2",
+             "--cache-dir", str(tmp_path / f"cache{len(flags)}")],
+            capture_output=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

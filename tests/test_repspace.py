@@ -263,3 +263,76 @@ def test_concurrent_module_and_diagram_access(a2):
     for t in threads:
         t.join()
     assert errors == []
+
+
+def _power_from_scratch(module, op, p, beta):
+    """op^p out of V_beta as p fresh block products, without the module's memo."""
+    rs = module.root_system
+    if op.endswith("theta"):
+        blocks = module.theta_raising if op[0] == "e" else module.theta_lowering
+        shift = rs.theta
+    else:
+        i = int(op[1:])
+        source = module.raising if op[0] == "e" else module.lowering
+        blocks = {b: m for (j, b), m in source.items() if j == i}
+        shift = rs.simple_roots[i]
+    if op[0] == "f":
+        shift = wneg(shift)
+    src_dim = module.dim_at(beta)
+    mat, cur = RationalMatrix.identity(src_dim), beta
+    for _ in range(p):
+        tgt = wadd(cur, shift)
+        if not module.dim_at(tgt):
+            return RationalMatrix.zeros(0, src_dim)
+        blk = blocks.get(cur, RationalMatrix.zeros(module.dim_at(tgt), module.dim_at(cur)))
+        mat, cur = blk @ mat, tgt
+    return mat
+
+
+@pytest.mark.parametrize("name, lam", [("A2", (1, 1)), ("A2", (2, 1)), ("G2", (1, 0)), ("G2", (0, 1))])
+@pytest.mark.parametrize("powers", [range(4, -1, -1), range(5)], ids=["descending", "ascending"])
+def test_memoised_power_blocks_equal_fresh_products(name, lam, powers):
+    rs = build_root_system(name)
+    module = build_theta_operators(rs, build_module(rs, lam))  # fresh, empty memo
+    ops = [f"{k}{i}" for k in "ef" for i in range(rs.rank)] + ["etheta", "ftheta"]
+    for op in ops:
+        for beta in sorted(module.basis_index):
+            for p in powers:
+                got = operator_power_block(module, op, p, beta)
+                assert got == _power_from_scratch(module, op, p, beta), (op, beta, p)
+                assert got.cols == module.dim_at(beta)
+
+
+def test_concurrent_power_chain_extension_stays_correct(a2):
+    import random
+    import sys
+    import threading
+
+    module = build_theta_operators(a2, build_module(a2, (2, 1)))  # fresh, empty memo
+    ops = ["e0", "e1", "f0", "f1", "etheta", "ftheta"]
+    expected = {
+        (op, beta, p): _power_from_scratch(module, op, p, beta)
+        for op in ops for beta in module.basis_index for p in range(5)
+    }
+    errors = []
+
+    def worker(seed):
+        keys = list(expected)
+        random.Random(seed).shuffle(keys)
+        for key in keys:
+            op, beta, p = key
+            if operator_power_block(module, op, p, beta) != expected[key]:
+                errors.append(key)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
