@@ -26,11 +26,10 @@ from .fusion import (
     theta_pairing,
     walton_dimension,
 )
-from .linalg import RationalMatrix, kernel
+from .linalg import RationalMatrix
 from .multiplicity import (
     WeightDiagram,
     freudenthal_diagram,
-    inner_multiplicity,
     weight_diagram,
     weyl_dimension,
 )
@@ -97,10 +96,8 @@ __all__ = [
     "fusion_table",
     "fz_dimension",
     "greedy_decompose",
-    "inner_multiplicity",
     "is_dominant",
     "kac_walton_coefficient",
-    "kernel",
     "level_alcove",
     "make_dominant",
     "operator_power_block",

@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .fusion import FusionTable, level_alcove
@@ -26,15 +25,6 @@ SCHEMA_VERSION = 1
 
 ENV_VAR = "FUSIONKIT_CACHE"
 LOCAL_DIR = ".fusionkit-cache"
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    schema_version: int
-    cartan_type: str
-    payload_kind: str  # "weight_diagram" | "fusion_table"
-    key: str
-    payload: dict
 
 
 def resolve_cache_dir(flag_value: str | None) -> Path:
@@ -97,21 +87,21 @@ class DiskCache:
             return None
         return doc
 
-    def _write(self, entry: CacheEntry) -> None:
+    def _write(self, rs: RootSystem, kind: str, key: str, payload: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         doc = {
-            "schema_version": entry.schema_version,
-            "cartan_type": entry.cartan_type,
-            "payload_kind": entry.payload_kind,
-            "key": entry.key,
-            "payload": entry.payload,
+            "schema_version": SCHEMA_VERSION,
+            "cartan_type": str(rs.cartan_type),
+            "payload_kind": kind,
+            "key": key,
+            "payload": payload,
         }
         text = json.dumps(doc, sort_keys=True, indent=1)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            os.replace(tmp, self._path(entry.key))
+            os.replace(tmp, self._path(key))
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -145,9 +135,7 @@ class DiskCache:
                 [_coords_str(w), str(m)] for w, m in sorted(diagram.table.items())
             ],
         }
-        self._write(
-            CacheEntry(SCHEMA_VERSION, str(rs.cartan_type), "weight_diagram", key, payload)
-        )
+        self._write(rs, "weight_diagram", key, payload)
 
     # -- fusion tables ---------------------------------------------------
 
@@ -183,6 +171,4 @@ class DiskCache:
                 for triple, c in sorted(table.coeffs.items())
             ],
         }
-        self._write(
-            CacheEntry(SCHEMA_VERSION, str(rs.cartan_type), "fusion_table", key, payload)
-        )
+        self._write(rs, "fusion_table", key, payload)

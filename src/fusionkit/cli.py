@@ -9,15 +9,17 @@ repeated invocations. Exit codes: 0 ok, 1 internal error, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cache import DiskCache, resolve_cache_dir
 from .errors import CapExceededError, FusionkitError, ParseError, PreconditionError
 from .fusion import (
     DEFAULT_FZ_CAP,
+    FUSION_BACKENDS,
     FusionTable,
+    check_fz_cap,
     fusion_coefficient,
     fusion_coefficient_via_fz,
     fusion_table,
@@ -25,7 +27,7 @@ from .fusion import (
     level_alcove,
 )
 from .multiplicity import weight_diagram
-from .repspace import DEFAULT_DIM_CAP
+from .repspace import DEFAULT_DIM_CAP, check_dim_cap
 from .rootdata import DEFAULT_WEYL_CAP, RootSystem, Weight, build_root_system
 from .tensor import tensor_decompose
 from .verify import CLI_SUITES
@@ -53,6 +55,12 @@ def _root_system(args) -> RootSystem:
     return build_root_system(args.type, max_weyl_order=args.max_weyl)
 
 
+def _check_dims(rs: RootSystem, weights, args) -> None:
+    """Apply --max-dim to every input highest weight, before any cache lookup or work."""
+    for w in weights:
+        check_dim_cap(rs, w, args.max_dim)
+
+
 def cmd_rootdata(args) -> int:
     rs = _root_system(args)
     doc = {
@@ -77,15 +85,9 @@ def cmd_rootdata(args) -> int:
     return 0
 
 
-def cmd_weights(args) -> int:
-    rs = _root_system(args)
-    lam = parse_weight(args.weight, rs.rank)
-    cache = DiskCache(resolve_cache_dir(args.cache_dir))
-    diagram = cache.load_diagram(rs, lam)
-    if diagram is None:
-        diagram = weight_diagram(rs, lam)
-        cache.store_diagram(rs, diagram)
-    entries = sorted(diagram.table.items())
+def _emit_weights(rs: RootSystem, counts: dict[Weight, int], args) -> None:
+    """Print a weight -> multiplicity map (a diagram or a tensor decomposition)."""
+    entries = sorted(counts.items())
     if args.format == "tsv":
         for w, m in entries:
             print(f"{_coords_str(w)}\t{m}")
@@ -96,6 +98,18 @@ def cmd_weights(args) -> int:
                 "entries": [{"key": list(w), "value": m} for w, m in entries],
             }
         )
+
+
+def cmd_weights(args) -> int:
+    rs = _root_system(args)
+    lam = parse_weight(args.weight, rs.rank)
+    _check_dims(rs, [lam], args)
+    cache = DiskCache(resolve_cache_dir(args.cache_dir))
+    diagram = cache.load_diagram(rs, lam)
+    if diagram is None:
+        diagram = weight_diagram(rs, lam)
+        cache.store_diagram(rs, diagram)
+    _emit_weights(rs, diagram.table, args)
     return 0
 
 
@@ -103,195 +117,94 @@ def cmd_tensor(args) -> int:
     rs = _root_system(args)
     lam = parse_weight(args.left, rs.rank)
     mu = parse_weight(args.right, rs.rank)
-    terms = tensor_decompose(rs, lam, mu).terms
-    entries = sorted(terms.items())
-    if args.format == "tsv":
-        for w, m in entries:
-            print(f"{_coords_str(w)}\t{m}")
-    else:
-        _emit(
-            {
-                "type": str(rs.cartan_type),
-                "entries": [{"key": list(w), "value": m} for w, m in entries],
-            }
-        )
+    _check_dims(rs, [lam, mu], args)
+    _emit_weights(rs, tensor_decompose(rs, lam, mu).terms, args)
     return 0
 
 
-def _backends_cell(rs, k, lam, mu, nu, args):
-    walton = fusion_coefficient(rs, k, lam, mu, nu, max_dim=args.max_dim)
-    kacwalton = kac_walton_coefficient(rs, k, lam, mu, nu)
+# one cell per backend, for the single-triple form
+_CELLS = {
+    "walton": lambda rs, k, t, args: fusion_coefficient(rs, k, *t, max_dim=args.max_dim),
+    "kacwalton": lambda rs, k, t, args: kac_walton_coefficient(rs, k, *t),
+    "fz": lambda rs, k, t, args: fusion_coefficient_via_fz(
+        rs, k, *t, max_fz_dim=args.max_fz_dim, max_dim=args.max_dim
+    ),
+}
+
+
+def _triple_value(rs, k, triple, backend, args) -> int | None:
+    """One cell; under --backend all an fz cell over its cap is None (not computed)."""
     try:
-        fz = fusion_coefficient_via_fz(
-            rs, k, lam, mu, nu, max_fz_dim=args.max_fz_dim, max_dim=args.max_dim
-        )
+        return _CELLS[backend](rs, k, triple, args)
     except CapExceededError:
-        fz = None
-    agree = kacwalton == walton and (fz is None or fz == walton)
-    return walton, kacwalton, fz, agree
+        if backend == "fz" and args.backend == "all":
+            return None
+        raise
 
 
-def _table_cells(type_str: str, k: int, pairs, max_dim: int):
-    """Worker for --jobs: compute all cells for the given (lam, mu) pairs."""
-    rs = build_root_system(type_str)
-    alcove = level_alcove(rs, k)
-    out = []
-    for lam, mu in pairs:
-        for nu in alcove:
-            c = fusion_coefficient(rs, k, lam, mu, nu, max_dim=max_dim)
-            if c:
-                out.append(((lam, mu, nu), c))
-    return out
+def _table(rs, k, backend, args) -> FusionTable:
+    """A level table; only --backend walton reads and fills the disk cache, so
+    --backend all always recomputes its cross-check."""
+    cache = DiskCache(resolve_cache_dir(args.cache_dir)) if args.backend == "walton" else None
+    table = cache.load_table(rs, k) if cache else None
+    if table is None:
+        table = fusion_table(rs, k, backend, max_dim=args.max_dim, max_fz_dim=args.max_fz_dim)
+        if cache:
+            cache.store_table(rs, table)
+    return table
 
 
-def _assemble_table(rs, k, args) -> FusionTable:
-    if args.jobs > 1:
-        alcove = level_alcove(rs, k)
-        pairs = [(lam, mu) for lam in alcove for mu in alcove]
-        chunks = [pairs[i :: args.jobs] for i in range(args.jobs)]
-        coeffs = {}
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_table_cells, str(rs.cartan_type), k, chunk, args.max_dim)
-                for chunk in chunks
-                if chunk
-            ]
-            for fut in futures:
-                coeffs.update(dict(fut.result()))
-        return FusionTable(
-            cartan_type=str(rs.cartan_type), level=k, alcove=tuple(alcove), coeffs=coeffs
-        )
-    return fusion_table(rs, k, max_dim=args.max_dim)
+def _table_value(table: FusionTable, triple) -> int | None:
+    return None if triple[:2] in table.skipped else table.coefficient(*triple)
+
+
+def _emit_fusion(rs, k, rows, args) -> None:
+    """Print (triple, {backend: value}) rows for the triple, table and all forms."""
+    cells = []
+    for triple, values in rows:
+        if args.backend == "all":
+            w, kw, fz = values["walton"], values["kacwalton"], values["fz"]
+            fields = {**values, "agreement": kw == w and (fz is None or fz == w)}
+        else:
+            fields = {"value": values[args.backend]}
+        cells.append((triple, fields))
+    if args.format == "tsv":
+        for triple, fields in cells:
+            key = "|".join(_coords_str(w) for w in triple)
+            texts = ("-" if v is None else str(v).lower() for v in fields.values())
+            print("\t".join([key, *texts]))
+        return
+    doc = {
+        "type": str(rs.cartan_type),
+        "level": k,
+        "entries": [{"key": [list(w) for w in t], **fields} for t, fields in cells],
+    }
+    if args.backend == "all":
+        doc["agreement"] = all(fields["agreement"] for _, fields in cells)
+    _emit(doc)
 
 
 def cmd_fusion(args) -> int:
     rs = _root_system(args)
     k = args.level
-    if k is None:
-        raise ParseError("fusion requires --level")
-    if args.triple:
-        lam, mu, nu = (parse_weight(t, rs.rank) for t in args.triple)
-        if args.backend == "all":
-            walton, kacwalton, fz, agree = _backends_cell(rs, k, lam, mu, nu, args)
-            entry = {
-                "key": [list(lam), list(mu), list(nu)],
-                "walton": walton,
-                "kacwalton": kacwalton,
-                "fz": fz,
-                "agreement": agree,
-            }
-            if args.format == "tsv":
-                key = "|".join(_coords_str(w) for w in (lam, mu, nu))
-                fz_text = "-" if fz is None else str(fz)
-                print(f"{key}\t{walton}\t{kacwalton}\t{fz_text}\t{str(agree).lower()}")
-            else:
-                _emit(
-                    {
-                        "type": str(rs.cartan_type),
-                        "level": k,
-                        "agreement": agree,
-                        "entries": [entry],
-                    }
-                )
-            return 0
-        value = _single_backend(rs, k, lam, mu, nu, args)
-        if args.format == "tsv":
-            key = "|".join(_coords_str(w) for w in (lam, mu, nu))
-            print(f"{key}\t{value}")
-        else:
-            _emit(
-                {
-                    "type": str(rs.cartan_type),
-                    "level": k,
-                    "entries": [{"key": [list(lam), list(mu), list(nu)], "value": value}],
-                }
-            )
-        return 0
-
-    if args.backend == "all":
-        alcove = level_alcove(rs, k)
-        entries = []
-        all_agree = True
-        for lam in alcove:
-            for mu in alcove:
-                for nu in alcove:
-                    walton, kacwalton, fz, agree = _backends_cell(rs, k, lam, mu, nu, args)
-                    all_agree = all_agree and agree
-                    entries.append(
-                        {
-                            "key": [list(lam), list(mu), list(nu)],
-                            "walton": walton,
-                            "kacwalton": kacwalton,
-                            "fz": fz,
-                            "agreement": agree,
-                        }
-                    )
-        if args.format == "tsv":
-            for entry in entries:
-                key = "|".join(_coords_str(w) for w in entry["key"])
-                fz_text = "-" if entry["fz"] is None else str(entry["fz"])
-                print(
-                    f"{key}\t{entry['walton']}\t{entry['kacwalton']}\t{fz_text}"
-                    f"\t{str(entry['agreement']).lower()}"
-                )
-        else:
-            _emit(
-                {
-                    "type": str(rs.cartan_type),
-                    "level": k,
-                    "agreement": all_agree,
-                    "entries": entries,
-                }
-            )
-        return 0
-
-    cache = DiskCache(resolve_cache_dir(args.cache_dir))
-    table = None
-    if args.backend == "walton":
-        table = cache.load_table(rs, k)
-    if table is None:
-        if args.backend == "walton":
-            table = _assemble_table(rs, k, args)
-            cache.store_table(rs, table)
-        else:
-            alcove = level_alcove(rs, k)
-            coeffs = {}
-            for lam in alcove:
-                for mu in alcove:
-                    for nu in alcove:
-                        c = _single_backend(rs, k, lam, mu, nu, args)
-                        if c:
-                            coeffs[(lam, mu, nu)] = c
-            table = FusionTable(
-                cartan_type=str(rs.cartan_type), level=k, alcove=tuple(alcove), coeffs=coeffs
-            )
-    entries = sorted(table.coeffs.items())
-    if args.format == "tsv":
-        for triple, c in entries:
-            print("|".join(_coords_str(w) for w in triple) + f"\t{c}")
+    triple = tuple(parse_weight(t, rs.rank) for t in args.triple)
+    alcove = None if triple else level_alcove(rs, k)
+    _check_dims(rs, triple or alcove, args)
+    backends = FUSION_BACKENDS if args.backend == "all" else (args.backend,)
+    if triple:
+        rows = [(triple, {b: _triple_value(rs, k, triple, b, args) for b in backends})]
     else:
-        _emit(
-            {
-                "type": str(rs.cartan_type),
-                "level": k,
-                "entries": [
-                    {"key": [list(w) for w in triple], "value": c} for triple, c in entries
-                ],
-            }
-        )
+        if args.backend == "fz":
+            for lam, mu in itertools.product(alcove, repeat=2):
+                check_fz_cap(rs, lam, mu, args.max_fz_dim)
+        tables = {b: _table(rs, k, b, args) for b in backends}
+        if args.backend == "all":
+            keys = itertools.product(alcove, repeat=3)
+        else:
+            keys = sorted(tables[args.backend].coeffs)
+        rows = [(t, {b: _table_value(tables[b], t) for b in backends}) for t in keys]
+    _emit_fusion(rs, k, rows, args)
     return 0
-
-
-def _single_backend(rs, k, lam, mu, nu, args) -> int:
-    if args.backend == "walton":
-        return fusion_coefficient(rs, k, lam, mu, nu, max_dim=args.max_dim)
-    if args.backend == "kacwalton":
-        return kac_walton_coefficient(rs, k, lam, mu, nu)
-    if args.backend == "fz":
-        return fusion_coefficient_via_fz(
-            rs, k, lam, mu, nu, max_fz_dim=args.max_fz_dim, max_dim=args.max_dim
-        )
-    raise ParseError(f"unknown backend {args.backend!r}")
 
 
 def cmd_verify(args) -> int:
@@ -318,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
     common.add_argument("--max-weyl", type=int, default=DEFAULT_WEYL_CAP)
     common.add_argument("--max-fz-dim", type=int, default=DEFAULT_FZ_CAP)
-    common.add_argument("--jobs", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="fusionkit",
@@ -345,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--level", type=int, required=True)
     p.add_argument(
-        "--backend", choices=("walton", "kacwalton", "fz", "all"), default="walton"
+        "--backend", choices=(*FUSION_BACKENDS, "all"), default="walton"
     )
     # lam mu nu weights arrive as leftover positionals; see main()
     p.set_defaults(func=cmd_fusion)
@@ -359,6 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins: UnsupportedTypeError is a ParseError, InternalError a FusionkitError
+_EXIT_CODES = ((ParseError, 2), (PreconditionError, 3), (CapExceededError, 4), (FusionkitError, 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -366,29 +282,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.jobs < 1:
-            raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.command == "fusion":
-            if extra[:1] == ["--"]:
-                extra = extra[1:]
-            if extra and len(extra) != 3:
-                raise ParseError("fusion takes either no weights or exactly lam mu nu")
-            args.triple = extra
-        elif extra:
+        if args.command == "fusion" and extra[:1] == ["--"]:
+            extra = extra[1:]
+        if extra and (args.command != "fusion" or any(a.startswith("--") for a in extra)):
             raise ParseError(f"unrecognized arguments: {' '.join(extra)}")
+        if extra and len(extra) != 3:
+            raise ParseError("fusion takes either no weights or exactly lam mu nu")
+        args.triple = extra
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except FusionkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

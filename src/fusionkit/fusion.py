@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, InternalError, ParseError, PreconditionError
 from .linalg import RationalMatrix
 from .multiplicity import weight_diagram, weyl_dimension
 from .repspace import (
@@ -83,6 +83,24 @@ def level_alcove(rs: RootSystem, k: int) -> list[Weight]:
     return sorted(out)
 
 
+def _require_weight(rs: RootSystem, lam: Weight, beta: Weight) -> None:
+    if beta not in weight_diagram(rs, lam).table:
+        raise PreconditionError(f"beta = {beta} is not a weight of V^{lam}")
+
+
+def _constrained_dimension(rs: RootSystem, lam: Weight, beta: Weight,
+                           constraints: list[tuple[str, int]], max_dim: int) -> int:
+    """dim{v in V^lam_beta : op^p v = 0 for every (op, p) in constraints}."""
+    module = cached_module(rs, lam, max_dim)
+    dim = module.dim_at(beta)
+    blocks = [operator_power_block(module, op, p, beta) for op, p in constraints]
+    return dim - RationalMatrix.vstack(blocks, cols=dim).rank()
+
+
+def _prv_constraints(mu: Weight) -> list[tuple[str, int]]:
+    return [(f"e{j}", m + 1) for j, m in enumerate(mu)]
+
+
 def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
                   max_dim: int = DEFAULT_DIM_CAP) -> int:
     """dim{v in V^lam_beta : e_j^{<mu,alpha_j>+1} v = 0 for all j}.
@@ -93,14 +111,8 @@ def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
     for w, name in ((lam, "lam"), (mu, "mu"), (wadd(beta, mu), "beta+mu")):
         if not is_dominant(w):
             raise PreconditionError(f"{name} = {w} is not dominant")
-    module = cached_module(rs, lam, max_dim)
-    if beta not in module.basis_index:
-        raise PreconditionError(f"beta = {beta} is not a weight of V^{lam}")
-    blocks = [
-        operator_power_block(module, f"e{j}", mu[j] + 1, beta) for j in range(rs.rank)
-    ]
-    stacked = RationalMatrix.vstack(blocks, cols=module.dim_at(beta))
-    return module.dim_at(beta) - stacked.rank()
+    _require_weight(rs, lam, beta)
+    return _constrained_dimension(rs, lam, beta, _prv_constraints(mu), max_dim)
 
 
 def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weight,
@@ -110,19 +122,11 @@ def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weig
     lam, beta, mu = tuple(lam), tuple(beta), tuple(mu)
     _require_alcove(rs, k, lam, "lam")
     _require_alcove(rs, k, mu, "mu")
-    module = cached_module(rs, lam, max_dim)
-    if beta not in module.basis_index:
-        raise PreconditionError(f"beta = {beta} is not a weight of V^{lam}")
+    _require_weight(rs, lam, beta)
     top = wadd(beta, mu)
     _require_alcove(rs, k, top, "beta+mu")
-    p_theta = k - theta_pairing(rs, top) + 1
-    assert p_theta >= 1
-    blocks = [
-        operator_power_block(module, f"e{j}", mu[j] + 1, beta) for j in range(rs.rank)
-    ]
-    blocks.append(operator_power_block(module, "etheta", p_theta, beta))
-    stacked = RationalMatrix.vstack(blocks, cols=module.dim_at(beta))
-    return module.dim_at(beta) - stacked.rank()
+    constraints = _prv_constraints(mu) + [("etheta", k - theta_pairing(rs, top) + 1)]
+    return _constrained_dimension(rs, lam, beta, constraints, max_dim)
 
 
 def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
@@ -165,6 +169,20 @@ def affine_fold(rs: RootSystem, x: Weight, shifted_level: int) -> tuple[Weight |
     raise RuntimeError("affine folding did not terminate")
 
 
+def _kac_walton_row(rs: RootSystem, k: int, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """Every nonzero N^(k)nu_{lam,mu} from one tensor decomposition folded at k + h_vee."""
+    shifted = k + rs.dual_coxeter
+    row: dict[Weight, int] = {}
+    for term, count in tensor_decompose(rs, lam, mu).terms.items():
+        folded, sign = affine_fold(rs, wadd(term, rs.rho), shifted)
+        if sign:
+            nu = wsub(folded, rs.rho)
+            row[nu] = row.get(nu, 0) + sign * count
+    if any(c < 0 for c in row.values()):
+        raise InternalError(f"negative Kac-Walton sum in the row {lam} x {mu}: {row}")
+    return row
+
+
 def kac_walton_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight) -> int:
     """Oracle: fold the tensor decomposition through the affine walls at k + h_vee."""
     check_level(k)
@@ -172,14 +190,7 @@ def kac_walton_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: 
     _require_alcove(rs, k, lam, "lam")
     _require_alcove(rs, k, mu, "mu")
     _require_alcove(rs, k, nu, "nu")
-    shifted = k + rs.dual_coxeter
-    total = 0
-    for term, count in tensor_decompose(rs, lam, mu).terms.items():
-        folded, sign = affine_fold(rs, wadd(term, rs.rho), shifted)
-        if sign and wsub(folded, rs.rho) == nu:
-            total += sign * count
-    assert total >= 0
-    return total
+    return _kac_walton_row(rs, k, lam, mu).get(nu, 0)
 
 
 # -- Frenkel-Zhu backend on the explicit tensor product ------------------------
@@ -198,33 +209,44 @@ def _slice_pairs(mod_l: RepModule, mod_r: RepModule, gamma: Weight):
     return pairs, total
 
 
+def _first_factor_map(mod_l: RepModule, mod_r: RepModule, src_gamma: Weight,
+                      shift: Weight, block_at):
+    """X (x) 1 from the src_gamma slice into the slice shift up, as a list of rows.
+
+    block_at(b1) is the block of X out of V^lam_{b1}, or None where X is zero.
+    Returns the rows, the (b1, b2) pairs of both slices and the source dimension.
+    """
+    src, src_dim = _slice_pairs(mod_l, mod_r, src_gamma)
+    tgt, tgt_dim = _slice_pairs(mod_l, mod_r, wadd(src_gamma, shift))
+    offsets = {(b1, b2): off for b1, b2, _, _, off in tgt}
+    out = [[0] * src_dim for _ in range(tgt_dim)]
+    for b1, b2, d1, d2, off_s in src:
+        key = (wadd(b1, shift), b2)
+        blk = block_at(b1) if key in offsets else None
+        if blk is None:
+            continue
+        off_t = offsets[key]
+        for r in range(blk.rows):
+            brow = blk.row(r)
+            for c in range(d1):
+                v = brow[c]
+                if v:
+                    for t in range(d2):
+                        out[off_t + r * d2 + t][off_s + c * d2 + t] += v
+    return out, src, tgt, src_dim
+
+
 def _slice_op_block(mod_l: RepModule, mod_r: RepModule, op: str, gamma: Weight) -> RationalMatrix:
     """Block of x (x) 1 + 1 (x) x on the gamma slice of the tensor product."""
     blocks_l, shift = _operator_blocks(mod_l, op)
     blocks_r, _ = _operator_blocks(mod_r, op)
-    src, src_dim = _slice_pairs(mod_l, mod_r, gamma)
-    tgt, tgt_dim = _slice_pairs(mod_l, mod_r, wadd(gamma, shift))
-    offsets = {(b1, b2): off for b1, b2, _, _, off in tgt}
-    dims_t = {(b1, b2): (d1, d2) for b1, b2, d1, d2, _ in tgt}
-    out = [[0] * src_dim for _ in range(tgt_dim)]
+    out, src, tgt, src_dim = _first_factor_map(mod_l, mod_r, gamma, shift, blocks_l.get)
+    offsets = {(b1, b2): (off, d2) for b1, b2, _, d2, off in tgt}
     for b1, b2, d1, d2, off_s in src:
-        blk = blocks_l.get(b1)
-        key = (wadd(b1, shift), b2)
-        if blk is not None and key in offsets:
-            off_t = offsets[key]
-            rows_l = dims_t[key][0]
-            for r in range(rows_l):
-                brow = blk.row(r)
-                for c in range(d1):
-                    v = brow[c]
-                    if v:
-                        for t in range(d2):
-                            out[off_t + r * d2 + t][off_s + c * d2 + t] += v
         blk = blocks_r.get(b2)
         key = (b1, wadd(b2, shift))
         if blk is not None and key in offsets:
-            off_t = offsets[key]
-            cols_r = dims_t[key][1]
+            off_t, cols_r = offsets[key]
             for a in range(d1):
                 for r in range(cols_r):
                     brow = blk.row(r)
@@ -247,30 +269,13 @@ def _slice_gram(mod_l: RepModule, mod_r: RepModule, gamma: Weight) -> RationalMa
     return RationalMatrix(out, total)
 
 
-def _first_factor_theta_power(mod_l: RepModule, mod_r: RepModule, p: int,
-                              src_gamma: Weight, theta: Weight) -> RationalMatrix:
-    """Block of e_theta^p (x) 1 from the src_gamma slice into the slice p*theta up."""
-    src, src_dim = _slice_pairs(mod_l, mod_r, src_gamma)
-    shift = wscale(p, theta)
-    tgt, tgt_dim = _slice_pairs(mod_l, mod_r, wadd(src_gamma, shift))
-    offsets = {(b1, b2): off for b1, b2, _, _, off in tgt}
-    out = [[0] * src_dim for _ in range(tgt_dim)]
-    for b1, b2, d1, d2, off_s in src:
-        key = (wadd(b1, shift), b2)
-        if key not in offsets:
-            continue
-        power = operator_power_block(mod_l, "etheta", p, b1)
-        if power.rows == 0:
-            continue
-        off_t = offsets[key]
-        for r in range(power.rows):
-            prow = power.row(r)
-            for c in range(d1):
-                v = prow[c]
-                if v:
-                    for t in range(d2):
-                        out[off_t + r * d2 + t][off_s + c * d2 + t] += v
-    return RationalMatrix(out, src_dim)
+def check_fz_cap(rs: RootSystem, lam: Weight, mu: Weight, max_fz_dim: int) -> None:
+    """Refuse an FZ computation whose tensor product V^lam (x) V^mu exceeds the cap."""
+    product_dim = weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
+    if product_dim > max_fz_dim:
+        raise CapExceededError(
+            f"dim V^{tuple(lam)} * dim V^{tuple(mu)} = {product_dim} > cap {max_fz_dim}"
+        )
 
 
 def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
@@ -289,11 +294,7 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     _require_alcove(rs, k, lam, "lam")
     _require_alcove(rs, k, mu, "mu")
     _require_alcove(rs, k, nu, "nu")
-    product_dim = weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
-    if product_dim > max_fz_dim:
-        raise CapExceededError(
-            f"dim V^{lam} * dim V^{mu} = {product_dim} > cap {max_fz_dim}"
-        )
+    check_fz_cap(rs, lam, mu, max_fz_dim)
     mod_l = cached_module(rs, lam, max_dim)
     mod_r = cached_module(rs, mu, max_dim)
     target = wneg(nu)
@@ -309,13 +310,14 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     if count == 0:
         return 0
     p = k - theta_pairing(rs, nu) + 1
-    src = wsub(target, wscale(p, rs.theta))
-    _, src_dim = _slice_pairs(mod_l, mod_r, src)
+    shift = wscale(p, rs.theta)
+    rows, _, _, src_dim = _first_factor_map(  # e_theta^p (x) 1 into the target slice
+        mod_l, mod_r, wsub(target, shift), shift,
+        lambda b1: operator_power_block(mod_l, "etheta", p, b1),
+    )
     if src_dim == 0:
         return count
-    power = _first_factor_theta_power(mod_l, mod_r, p, src, rs.theta)
-    if power.rows == 0:
-        return count
+    power = RationalMatrix(rows, src_dim)
     gram = _slice_gram(mod_l, mod_r, target)
     overlap_rank = (lwv_basis.transpose() @ gram @ power).rank()
     return count - overlap_rank
@@ -330,28 +332,63 @@ def fusion_coefficient_via_fz(rs: RootSystem, k: int, lam: Weight, mu: Weight, n
 
 @dataclass(frozen=True)
 class FusionTable:
-    """All structure constants N^(k)nu_{lam,mu} for one (type, level)."""
+    """All structure constants N^(k)nu_{lam,mu} for one (type, level).
+
+    ``skipped`` holds the (lam, mu) rows the fz backend left out because
+    V^lam (x) V^mu is over its cap; it is empty for the other backends.
+    """
 
     cartan_type: str
     level: int
     alcove: tuple[Weight, ...]
     coeffs: dict[tuple[Weight, Weight, Weight], int]
+    skipped: frozenset[tuple[Weight, Weight]] = frozenset()
 
     def coefficient(self, lam: Weight, mu: Weight, nu: Weight) -> int:
         return self.coeffs.get((tuple(lam), tuple(mu), tuple(nu)), 0)
 
 
-def fusion_table(rs: RootSystem, k: int, max_dim: int = DEFAULT_DIM_CAP) -> FusionTable:
-    """Assemble the full level-k table; every cell runs the Walton backend."""
-    check_level(k)
+FUSION_BACKENDS = ("walton", "kacwalton", "fz")
+
+
+def fusion_table(rs: RootSystem, k: int, backend: str = "walton",
+                 max_dim: int = DEFAULT_DIM_CAP,
+                 max_fz_dim: int = DEFAULT_FZ_CAP) -> FusionTable:
+    """The full level-k table, built one (lam, mu) row at a time.
+
+    ``walton`` (production) runs fusion_coefficient on every cell;
+    ``kacwalton`` folds one tensor decomposition per row; ``fz`` runs the
+    Frenkel-Zhu oracle on every cell, except in the rows its caps refuse,
+    which it lists in ``skipped``.
+    """
     alcove = level_alcove(rs, k)
+    rows = {  # (lam, mu) -> {nu: N^(k)nu_{lam,mu}}, absent nu counting as 0
+        "walton": lambda lam, mu: {
+            nu: fusion_coefficient(rs, k, lam, mu, nu, max_dim) for nu in alcove
+        },
+        "kacwalton": lambda lam, mu: _kac_walton_row(rs, k, lam, mu),
+        "fz": lambda lam, mu: {
+            nu: fusion_coefficient_via_fz(rs, k, lam, mu, nu, max_fz_dim, max_dim)
+            for nu in alcove
+        },
+    }
+    if backend not in rows:
+        raise ParseError(f"unknown backend {backend!r}; choose from {', '.join(rows)}")
     coeffs: dict[tuple[Weight, Weight, Weight], int] = {}
+    skipped = set()
     for lam in alcove:
         for mu in alcove:
-            for nu in alcove:
-                c = fusion_coefficient(rs, k, lam, mu, nu, max_dim)
+            try:
+                row = rows[backend](lam, mu)
+            except CapExceededError:
+                if backend != "fz":
+                    raise
+                skipped.add((lam, mu))
+                continue
+            for nu, c in sorted(row.items()):
                 if c:
                     coeffs[(lam, mu, nu)] = c
     return FusionTable(
-        cartan_type=str(rs.cartan_type), level=k, alcove=tuple(alcove), coeffs=coeffs
+        cartan_type=str(rs.cartan_type), level=k, alcove=tuple(alcove), coeffs=coeffs,
+        skipped=frozenset(skipped),
     )

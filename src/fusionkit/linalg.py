@@ -285,8 +285,3 @@ def _gauss_jordan(m: list[list[int]], pivot_cols: int) -> tuple[list[list[int]],
         prev = p
         r += 1
     return m, pivots, prev
-
-
-def kernel(matrix: RationalMatrix) -> RationalMatrix:
-    """Kernel basis of an exact rational matrix (columns span the kernel)."""
-    return matrix.kernel()

@@ -48,11 +48,6 @@ class WeightDiagram:
         return sum(self.table.values())
 
 
-def inner_multiplicity(diagram: WeightDiagram, nu: Weight) -> int:
-    """dim of the nu weight space; zero off the support."""
-    return diagram.multiplicity(nu)
-
-
 _WEYL_FUNCTIONALS: dict[str, tuple[tuple[tuple[int, ...], ...], int]] = {}
 
 

@@ -16,13 +16,12 @@ import threading
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, InternalError, PreconditionError
-from .linalg import RationalMatrix, kernel
+from .linalg import RationalMatrix
 from .multiplicity import WeightDiagram, weight_diagram, weyl_dimension
 from .rootdata import (
     RootSystem,
     Weight,
     alpha_coordinates,
-    is_dominant,
     wadd,
     wscale,
     wsub,
@@ -83,14 +82,18 @@ def _depth_key(rs: RootSystem, lam: Weight):
     return key
 
 
+def check_dim_cap(rs: RootSystem, lam: Weight, max_dim: int) -> int:
+    """dim V^lam by the Weyl formula; CapExceededError when it is over max_dim."""
+    dim = weyl_dimension(rs, lam)
+    if dim > max_dim:
+        raise CapExceededError(f"dim V^{tuple(lam)} = {dim} > cap {max_dim}")
+    return dim
+
+
 def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) -> RepModule:
     """Construct V^lam explicitly; rejects modules over the dimension cap."""
     lam = tuple(lam)
-    if not is_dominant(lam):
-        raise PreconditionError(f"{lam} is not dominant")
-    dim = weyl_dimension(rs, lam)
-    if dim > max_dim:
-        raise CapExceededError(f"dim V^{lam} = {dim} > cap {max_dim}")
+    dim = check_dim_cap(rs, lam, max_dim)
     diagram = weight_diagram(rs, lam)
     order = sorted(diagram.table, key=_depth_key(rs, lam))
     assert order[0] == lam
@@ -337,7 +340,7 @@ def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> Ra
 
 def power_kernel(module: RepModule, op: str, p: int, beta: Weight) -> RationalMatrix:
     """Kernel basis of the p-fold operator block out of V_beta."""
-    return kernel(operator_power_block(module, op, p, beta))
+    return operator_power_block(module, op, p, beta).kernel()
 
 
 _MODULE_MEMO: dict[tuple[str, Weight], RepModule] = {}

@@ -13,11 +13,9 @@ import random
 from dataclasses import dataclass, field
 
 from .fusion import (
+    FUSION_BACKENDS,
     fusion_coefficient,
-    fusion_coefficient_via_fz,
     in_alcove,
-    kac_walton_coefficient,
-    level_alcove,
     theta_pairing,
     walton_dimension,
     prv_dimension,
@@ -176,21 +174,18 @@ def verify_three_way(restrict_type: str | None = None,
         for k in levels:
             if restrict_level and k != restrict_level:
                 continue
-            alcove = level_alcove(rs, k)
-            for lam, mu, nu in itertools.product(alcove, repeat=3):
-                w = fusion_coefficient(rs, k, lam, mu, nu)
-                kw = kac_walton_coefficient(rs, k, lam, mu, nu)
-                report.check(
-                    w == kw,
-                    lambda rs=rs, k=k, lam=lam, mu=mu, nu=nu, w=w, kw=kw:
-                    f"{rs} k={k} {lam}x{mu}->{nu}: walton={w} kac-walton={kw}",
-                )
-                if weyl_dimension(rs, lam) * weyl_dimension(rs, mu) <= fz_cap:
-                    fz = fusion_coefficient_via_fz(rs, k, lam, mu, nu, max_fz_dim=fz_cap)
+            tables = {b: fusion_table(rs, k, b, max_fz_dim=fz_cap) for b in FUSION_BACKENDS}
+            walton = tables.pop("walton")
+            for lam, mu, nu in itertools.product(walton.alcove, repeat=3):
+                w = walton.coefficient(lam, mu, nu)
+                for b, table in tables.items():
+                    if (lam, mu) in table.skipped:
+                        continue
+                    got = table.coefficient(lam, mu, nu)
                     report.check(
-                        w == fz,
-                        lambda rs=rs, k=k, lam=lam, mu=mu, nu=nu, w=w, fz=fz:
-                        f"{rs} k={k} {lam}x{mu}->{nu}: walton={w} fz={fz}",
+                        w == got,
+                        lambda rs=rs, k=k, lam=lam, mu=mu, nu=nu, w=w, b=b, got=got:
+                        f"{rs} k={k} {lam}x{mu}->{nu}: walton={w} {b}={got}",
                     )
     return report
 

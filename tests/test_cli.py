@@ -154,15 +154,6 @@ def test_fusion_single_backend_values_agree(capsys, backend, tmp_path):
     assert doc["entries"][0]["value"] == 1
 
 
-def test_fusion_table_jobs_matches_sequential(capsys, tmp_path):
-    _, seq = run(capsys, "fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path / "a"))
-    _, par = run(
-        capsys, "fusion", "A2", "--level", "2", "--jobs", "2",
-        "--cache-dir", str(tmp_path / "b"),
-    )
-    assert seq == par
-
-
 def test_fusion_accepts_double_dash_before_weights(capsys, tmp_path):
     plain = run(capsys, "fusion", "A2", "--level", "1", "--cache-dir", str(tmp_path),
                 "1,0", "1,0", "0,1")
@@ -173,11 +164,74 @@ def test_fusion_accepts_double_dash_before_weights(capsys, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_a_parse_error(capsys, tmp_path, jobs):
+@pytest.mark.parametrize("jobs", ["2", "0", "-3"])
+def test_jobs_option_is_a_parse_error(capsys, tmp_path, jobs):
+    """Tables are built in one process; there is no --jobs option."""
     code, out = run(capsys, "fusion", "A2", "--level", "1", "--jobs", jobs,
                     "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
+
+
+def test_weights_respects_max_dim(capsys, tmp_path):
+    code, out = run(capsys, "weights", "A1", "2000", "--max-dim", "10",
+                    "--cache-dir", str(tmp_path))
+    assert code == 4 and out == ""
+
+
+def test_tensor_respects_max_dim(capsys):
+    code, out = run(capsys, "tensor", "A2", "5,5", "5,5", "--max-dim", "10")
+    assert code == 4 and out == ""
+
+
+def test_kacwalton_table_respects_max_dim(capsys):
+    code, out = run(capsys, "fusion", "A2", "--level", "3", "--backend", "kacwalton",
+                    "--max-dim", "5")
+    assert code == 4 and out == ""
+
+
+def test_max_dim_is_checked_before_the_cache(capsys, tmp_path):
+    args = ("fusion", "A2", "--level", "3", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args, "--max-dim", "5") == (4, "")  # cold
+    code, out = run(capsys, *args)
+    assert code == 0 and out
+    assert run(capsys, *args, "--max-dim", "5") == (4, "")  # warm
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("name, k", [("A2", 2), ("B2", 1), ("G2", 1)])
+def test_oracle_tables_print_the_walton_bytes(capsys, tmp_path, name, k, fmt):
+    outputs = {
+        backend: run(capsys, "fusion", name, "--level", str(k), "--backend", backend,
+                     "--format", fmt, "--cache-dir", str(tmp_path))
+        for backend in ("walton", "kacwalton", "fz")
+    }
+    assert outputs["walton"][0] == 0 and outputs["walton"][1]
+    assert outputs["kacwalton"] == outputs["walton"] == outputs["fz"]
+
+
+@pytest.mark.parametrize("name, k", [("A2", 2), ("B2", 1), ("G2", 1)])
+def test_fusion_backend_all_table_agrees(capsys, name, k):
+    code, out = run(capsys, "fusion", name, "--level", str(k), "--backend", "all")
+    doc = json.loads(out)
+    assert code == 0 and doc["agreement"] is True
+    assert all(e["agreement"] and e["fz"] is not None for e in doc["entries"])
+
+
+def test_fusion_backend_all_marks_capped_fz_rows(capsys):
+    code, out = run(capsys, "fusion", "A2", "--level", "2", "--backend", "all",
+                    "--max-fz-dim", "30", "--format", "tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 6 ** 3
+    capped = [r for r in rows if r[3] == "-"]
+    assert len(capped) == 3 * 3 * 6  # lam and mu both of dimension 6 or 8
+    assert all(r[1] == r[2] and r[4] == "true" for r in rows)
+
+
+def test_fz_table_over_the_cap_exits_before_any_output(capsys):
+    code, out = run(capsys, "fusion", "A2", "--level", "2", "--backend", "fz",
+                    "--max-fz-dim", "20")
+    assert code == 4 and out == ""
 
 
 def test_optimised_interpreter_prints_the_same_bytes(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from fusionkit import (
     CapExceededError,
+    FusionkitError,
     PreconditionError,
     build_root_system,
     dual_weight,
@@ -18,7 +19,7 @@ from fusionkit import (
     walton_dimension,
     weyl_dimension,
 )
-from fusionkit.fusion import affine_fold, check_level, theta_pairing
+from fusionkit.fusion import FUSION_BACKENDS, affine_fold, check_level, theta_pairing
 from fusionkit.rootdata import wadd
 
 
@@ -238,3 +239,24 @@ def test_g2_level_one_is_the_fibonacci_ring(g2):
     assert table.alcove == (one, tau)
     assert table.coefficient(tau, tau, one) == 1
     assert table.coefficient(tau, tau, tau) == 1
+
+
+@pytest.mark.parametrize("name, k", [("A2", 2), ("B2", 1), ("G2", 1)])
+def test_fusion_table_is_the_same_for_every_backend(name, k):
+    rs = build_root_system(name)
+    walton, kacwalton, fz = (fusion_table(rs, k, backend=b) for b in FUSION_BACKENDS)
+    assert walton.coeffs and walton == kacwalton == fz
+    assert not walton.skipped and not fz.skipped
+
+
+def test_fusion_table_fz_rows_over_the_cap_are_skipped(a2):
+    walton = fusion_table(a2, 2)
+    fz = fusion_table(a2, 2, backend="fz", max_fz_dim=30)
+    big = {w for w in walton.alcove if weyl_dimension(a2, w) > 3}  # dimensions 6, 8 and 6
+    assert fz.skipped == {(lam, mu) for lam in big for mu in big}
+    assert fz.coeffs == {t: c for t, c in walton.coeffs.items() if t[:2] not in fz.skipped}
+
+
+def test_fusion_table_unknown_backend_is_classified(a2):
+    with pytest.raises(FusionkitError, match="unknown backend"):
+        fusion_table(a2, 1, backend="nope")

@@ -5,20 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit.errors import InternalError
-from fusionkit.linalg import RationalMatrix, _bareiss_step, kernel
+from fusionkit.linalg import RationalMatrix, _bareiss_step
 
 
 def test_kernel_of_zero_matrix_is_everything():
-    assert kernel(RationalMatrix.zeros(3, 3)).cols == 3
+    assert RationalMatrix.zeros(3, 3).kernel().cols == 3
 
 
 def test_kernel_of_identity_is_trivial():
-    assert kernel(RationalMatrix.identity(4)).cols == 0
+    assert RationalMatrix.identity(4).kernel().cols == 0
 
 
 def test_kernel_of_rank_one_matrix():
     m = RationalMatrix([[1, 2], [2, 4]])
-    k = kernel(m)
+    k = m.kernel()
     assert k.cols == 1
     # spanned by (2, -1) up to scale
     x, y = k.column(0)
@@ -28,7 +28,7 @@ def test_kernel_of_rank_one_matrix():
 
 def test_kernel_columns_are_independent():
     m = RationalMatrix([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1]])
-    k = kernel(m)
+    k = m.kernel()
     assert k.cols == m.cols - m.rank() == 2
     assert (m @ k).is_zero()
     assert k.rank() == k.cols
@@ -37,7 +37,7 @@ def test_kernel_columns_are_independent():
 def test_zero_row_matrix_behaves_as_zero_map():
     m = RationalMatrix.zeros(0, 5)
     assert m.rank() == 0
-    assert kernel(m).cols == 5
+    assert m.kernel().cols == 5
 
 
 def test_rank_and_inverse():

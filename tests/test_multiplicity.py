@@ -4,7 +4,6 @@ from fusionkit import (
     PreconditionError,
     build_root_system,
     freudenthal_diagram,
-    inner_multiplicity,
     weight_diagram,
     weyl_dimension,
 )
@@ -38,9 +37,9 @@ def test_freudenthal_examples(a1, a2):
 
 def test_inner_multiplicity(a2):
     d = weight_diagram(a2, a2.theta)
-    assert inner_multiplicity(d, a2.theta) == 1
-    assert inner_multiplicity(d, wadd(a2.theta, a2.simple_roots[0])) == 0
-    assert inner_multiplicity(d, (0, 0)) == 2
+    assert d.multiplicity(a2.theta) == 1
+    assert d.multiplicity(wadd(a2.theta, a2.simple_roots[0])) == 0
+    assert d.multiplicity((0, 0)) == 2
 
 
 def test_rejects_non_dominant(a2):
