@@ -207,15 +207,27 @@ def cmd_fusion(args) -> int:
     return 0
 
 
+# verify filter option -> keyword of the suite functions
+_VERIFY_FILTERS = {"--type": "restrict_type", "--level": "restrict_level"}
+
+
 def cmd_verify(args) -> int:
     suite = CLI_SUITES.get(args.suite)
     if suite is None:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(CLI_SUITES))}"
         )
+    run, takes = suite
+    given = {opt: v for opt, v in (("--type", args.type), ("--level", args.level)) if v is not None}
+    refused = [opt for opt in given if opt not in takes]
+    if refused:
+        raise ParseError(f"verify {args.suite} takes no {' or '.join(refused)}")
     if args.type is not None:
         build_root_system(args.type, max_weyl_order=args.max_weyl)  # validate early
-    report = suite(cartan=args.type, level=args.level)
+    report = run(**{_VERIFY_FILTERS[opt]: v for opt, v in given.items()})
+    if report.checks == 0:
+        filters = " ".join(f"{opt} {v}" for opt, v in given.items())
+        raise PreconditionError(f"verify {args.suite}: no checks match {filters}")
     print(report.summary())
     for failure in report.failures[:10]:
         print(f"  {failure}")
@@ -262,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     # lam mu nu weights arrive as leftover positionals; see main()
     p.set_defaults(func=cmd_fusion)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
+    p.add_argument("--max-weyl", type=int, default=DEFAULT_WEYL_CAP)
     p.add_argument("--type", dest="type", default=None)
     p.add_argument("--level", type=int, default=None)
     p.set_defaults(func=cmd_verify)

@@ -196,77 +196,38 @@ def kac_walton_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: 
 # -- Frenkel-Zhu backend on the explicit tensor product ------------------------
 
 def _slice_pairs(mod_l: RepModule, mod_r: RepModule, gamma: Weight):
-    """Ordered (b1, b2) pairs with b1 + b2 = gamma, plus total dimension."""
+    """Ordered (b1, b2, dim V^lam_b1, dim V^mu_b2) with b1 + b2 = gamma, both present."""
     pairs = []
-    total = 0
     for b1 in sorted(mod_l.basis_index):
         b2 = wsub(gamma, b1)
         d2 = mod_r.dim_at(b2)
         if d2:
-            d1 = mod_l.dim_at(b1)
-            pairs.append((b1, b2, d1, d2, total))
-            total += d1 * d2
-    return pairs, total
+            pairs.append((b1, b2, mod_l.dim_at(b1), d2))
+    return pairs
 
 
-def _first_factor_map(mod_l: RepModule, mod_r: RepModule, src_gamma: Weight,
-                      shift: Weight, block_at):
-    """X (x) 1 from the src_gamma slice into the slice shift up, as a list of rows.
+def _slice_map(mod_l: RepModule, mod_r: RepModule, gamma: Weight, shift: Weight,
+               left, right=None) -> RationalMatrix:
+    """X (x) 1 + 1 (x) Y from the gamma slice of V^lam (x) V^mu into the gamma + shift slice.
 
-    block_at(b1) is the block of X out of V^lam_{b1}, or None where X is zero.
-    Returns the rows, the (b1, b2) pairs of both slices and the source dimension.
+    left(b1) is the block of X out of V^lam_{b1} and right(b2) that of Y out
+    of V^mu_{b2}, or None where the operator is zero; right=None means Y = 0.
     """
-    src, src_dim = _slice_pairs(mod_l, mod_r, src_gamma)
-    tgt, tgt_dim = _slice_pairs(mod_l, mod_r, wadd(src_gamma, shift))
-    offsets = {(b1, b2): off for b1, b2, _, _, off in tgt}
-    out = [[0] * src_dim for _ in range(tgt_dim)]
-    for b1, b2, d1, d2, off_s in src:
-        key = (wadd(b1, shift), b2)
-        blk = block_at(b1) if key in offsets else None
-        if blk is None:
-            continue
-        off_t = offsets[key]
-        for r in range(blk.rows):
-            brow = blk.row(r)
-            for c in range(d1):
-                v = brow[c]
-                if v:
-                    for t in range(d2):
-                        out[off_t + r * d2 + t][off_s + c * d2 + t] += v
-    return out, src, tgt, src_dim
-
-
-def _slice_op_block(mod_l: RepModule, mod_r: RepModule, op: str, gamma: Weight) -> RationalMatrix:
-    """Block of x (x) 1 + 1 (x) x on the gamma slice of the tensor product."""
-    blocks_l, shift = _operator_blocks(mod_l, op)
-    blocks_r, _ = _operator_blocks(mod_r, op)
-    out, src, tgt, src_dim = _first_factor_map(mod_l, mod_r, gamma, shift, blocks_l.get)
-    offsets = {(b1, b2): (off, d2) for b1, b2, _, d2, off in tgt}
-    for b1, b2, d1, d2, off_s in src:
-        blk = blocks_r.get(b2)
-        key = (b1, wadd(b2, shift))
-        if blk is not None and key in offsets:
-            off_t, cols_r = offsets[key]
-            for a in range(d1):
-                for r in range(cols_r):
-                    brow = blk.row(r)
-                    for c in range(d2):
-                        v = brow[c]
-                        if v:
-                            out[off_t + a * cols_r + r][off_s + a * d2 + c] += v
-    return RationalMatrix(out, src_dim)
-
-
-def _slice_gram(mod_l: RepModule, mod_r: RepModule, gamma: Weight) -> RationalMatrix:
-    pairs, total = _slice_pairs(mod_l, mod_r, gamma)
-    out = [[0] * total for _ in range(total)]
-    for b1, b2, d1, d2, off in pairs:
-        kron = mod_l.gram[b1].kron(mod_r.gram[b2])
-        for r in range(d1 * d2):
-            row = kron.row(r)
-            for c in range(d1 * d2):
-                out[off + r][off + c] = row[c]
-    return RationalMatrix(out, total)
+    src = _slice_pairs(mod_l, mod_r, gamma)
+    tgt = _slice_pairs(mod_l, mod_r, wadd(gamma, shift))
+    at = {(b1, b2): t for t, (b1, b2, _, _) in enumerate(tgt)}
+    blocks = {}
+    for s, (b1, b2, d1, d2) in enumerate(src):
+        t = at.get((wadd(b1, shift), b2))
+        blk = None if t is None else left(b1)
+        if blk is not None:
+            blocks[t, s] = blk.kron(RationalMatrix.identity(d2))
+        t = at.get((b1, wadd(b2, shift))) if right else None
+        blk = None if t is None else right(b2)
+        if blk is not None:
+            blocks[t, s] = RationalMatrix.identity(d1).kron(blk)
+    return RationalMatrix.block([d1 * d2 for *_, d1, d2 in tgt],
+                                [d1 * d2 for *_, d1, d2 in src], blocks)
 
 
 def check_fz_cap(rs: RootSystem, lam: Weight, mu: Weight, max_fz_dim: int) -> None:
@@ -298,29 +259,29 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     mod_l = cached_module(rs, lam, max_dim)
     mod_r = cached_module(rs, mu, max_dim)
     target = wneg(nu)
-    _, target_dim = _slice_pairs(mod_l, mod_r, target)
-    if target_dim == 0:
+    pairs = _slice_pairs(mod_l, mod_r, target)
+    if not pairs:
         return 0
-    stacked = RationalMatrix.vstack(
-        [_slice_op_block(mod_l, mod_r, f"f{j}", target) for j in range(rs.rank)],
-        cols=target_dim,
-    )
-    lwv_basis = stacked.kernel()  # U^-: lowest weight vectors of weight -nu
+    lowering = []
+    for j in range(rs.rank):
+        blocks_l, shift = _operator_blocks(mod_l, f"f{j}")
+        blocks_r, _ = _operator_blocks(mod_r, f"f{j}")
+        lowering.append(_slice_map(mod_l, mod_r, target, shift, blocks_l.get, blocks_r.get))
+    lwv_basis = RationalMatrix.vstack(lowering).kernel()  # U^-: lowest weight vectors of weight -nu
     count = lwv_basis.cols
     if count == 0:
         return 0
     p = k - theta_pairing(rs, nu) + 1
     shift = wscale(p, rs.theta)
-    rows, _, _, src_dim = _first_factor_map(  # e_theta^p (x) 1 into the target slice
+    power = _slice_map(  # e_theta^p (x) 1 into the target slice
         mod_l, mod_r, wsub(target, shift), shift,
         lambda b1: operator_power_block(mod_l, "etheta", p, b1),
     )
-    if src_dim == 0:
-        return count
-    power = RationalMatrix(rows, src_dim)
-    gram = _slice_gram(mod_l, mod_r, target)
-    overlap_rank = (lwv_basis.transpose() @ gram @ power).rank()
-    return count - overlap_rank
+    sizes = [d1 * d2 for *_, d1, d2 in pairs]
+    gram = RationalMatrix.block(sizes, sizes, {
+        (t, t): mod_l.gram[b1].kron(mod_r.gram[b2]) for t, (b1, b2, _, _) in enumerate(pairs)
+    })
+    return count - (lwv_basis.transpose() @ gram @ power).rank()
 
 
 def fusion_coefficient_via_fz(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,

@@ -4,9 +4,13 @@ A matrix keeps a tuple of rows of integer numerators ``num`` over one
 positive common denominator ``den``. The pair is normalised so that ``den``
 and all numerators have gcd 1 (a zero matrix has ``den == 1``); that form is
 unique for each rational matrix, so equality and hashing go by value.
-Products, sums, scaling, stacking and Kronecker products work on the
-numerators with Python ints. Rank uses fraction-free Bareiss elimination
-(Bareiss 1968); kernels and inverses use its Gauss-Jordan variant, after
+Products, sums, scaling, Kronecker products and the three structural
+primitives work on the numerators with Python ints: ``block`` assembles
+sparse blocks over one common denominator (``vstack`` is its one-column
+case), ``select`` takes a submatrix, and ``rref`` returns the pivot columns
+and the nonzero rows of the reduced row echelon form. Rank and the
+positive-definiteness test use fraction-free Bareiss elimination (Bareiss
+1968); ``rref``, kernels and inverses use its Gauss-Jordan variant, after
 which every pivot equals one integer d and the reduced row echelon form is
 the integer matrix over d. Nothing is ever approximate. ``data``, ``row``,
 ``column`` and ``m[i, j]`` hand out ``fractions.Fraction`` entries, built on
@@ -23,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
 
@@ -88,25 +92,39 @@ class RationalMatrix:
         return cls._from_ints(num, 1, n, n)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RationalMatrix":
-        return cls([[col[i] for col in columns] for i in range(rows)], len(columns))
+    def block(cls, heights: Sequence[int], widths: Sequence[int],
+              blocks: Mapping[tuple[int, int], "RationalMatrix"]) -> "RationalMatrix":
+        """Block matrix whose block (r, c) is heights[r] x widths[c]; absent blocks are zero."""
+        for (r, c), m in blocks.items():
+            if (m.rows, m.cols) != (heights[r], widths[c]):
+                raise ValueError(f"block {(r, c)} is {m.rows}x{m.cols}, "
+                                 f"not {heights[r]}x{widths[c]}")
+        den = lcm(*(m.den for m in blocks.values()))
+        num = []
+        for r, h in enumerate(heights):
+            parts = []
+            for c, w in enumerate(widths):
+                m = blocks.get((r, c))
+                if m is None:
+                    parts.append(((0,) * w,) * h)
+                else:
+                    f = den // m.den
+                    parts.append(m.num if f == 1 else
+                                 tuple(tuple(f * x for x in row) for row in m.num))
+            if len(parts) == 1:
+                num.extend(parts[0])
+            else:
+                num.extend(tuple(chain.from_iterable(p[i] for p in parts)) for i in range(h))
+        return cls._from_ints(tuple(num), den, len(num), sum(widths))
 
     @classmethod
     def vstack(cls, mats: Iterable["RationalMatrix"], cols: int | None = None) -> "RationalMatrix":
         mats = list(mats)
-        if not mats:
-            if cols is None:
+        if cols is None:
+            if not mats:
                 raise ValueError("vstack of nothing needs an explicit column count")
-            return cls.zeros(0, cols)
-        width = mats[0].cols
-        if any(m.cols != width for m in mats):
-            raise ValueError("column mismatch in vstack")
-        den = lcm(*(m.den for m in mats))
-        num = []
-        for m in mats:
-            f = den // m.den
-            num.extend(m.num if f == 1 else (tuple(f * x for x in row) for row in m.num))
-        return cls._from_ints(tuple(num), den, len(num), width)
+            cols = mats[0].cols
+        return cls.block([m.rows for m in mats], [cols], {(r, 0): m for r, m in enumerate(mats)})
 
     @property
     def data(self) -> tuple[tuple[Q, ...], ...]:
@@ -141,6 +159,12 @@ class RationalMatrix:
 
     def column(self, j: int) -> tuple[Q, ...]:
         return tuple(row[j] for row in self.data)
+
+    def select(self, rows: Iterable[int], cols: Iterable[int]) -> "RationalMatrix":
+        """The submatrix on the given row and column indices, in the order given."""
+        cols = list(cols)
+        num = tuple(tuple(self.num[i][j] for j in cols) for i in rows)
+        return RationalMatrix._from_ints(num, self.den, len(num), len(cols))
 
     def transpose(self) -> "RationalMatrix":
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
@@ -218,6 +242,35 @@ class RationalMatrix:
             prev = p
             r += 1
         return r
+
+    def rref(self) -> tuple[list[int], "RationalMatrix"]:
+        """Pivot columns and the nonzero rows of the reduced row echelon form.
+
+        The pivots are the first-wins independent columns, and column s equals
+        the pivot columns combined with the coefficients in column s of the rows.
+        """
+        m, pivots, d = _gauss_jordan([list(row) for row in self.num], self.cols)
+        r = len(pivots)
+        return pivots, RationalMatrix._from_ints(tuple(map(tuple, m[:r])), d, r, self.cols)
+
+    def is_positive_definite(self) -> bool:
+        """Sylvester's criterion for a symmetric matrix: every leading principal minor is positive.
+
+        Bareiss elimination without row swaps leaves the k-th leading minor
+        (of the numerators) as the k-th pivot.
+        """
+        if self.rows != self.cols:
+            raise ValueError("only square matrices can be positive definite")
+        m = [list(row) for row in self.num]
+        prev = 1
+        for c, prow in enumerate(m):
+            p = prow[c]
+            if p <= 0:
+                return False
+            for row in m[c + 1:]:
+                row[c + 1:] = _bareiss_step(row[c + 1:], prow[c + 1:], p, row[c], prev)
+            prev = p
+        return True
 
     def kernel(self) -> "RationalMatrix":
         """Basis of the right kernel, one column per free variable."""

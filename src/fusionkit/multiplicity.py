@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 from typing import Mapping
@@ -24,7 +23,6 @@ from .rootdata import (
     alpha_coordinates,
     apply_matrix,
     dominant_in_orbit,
-    form,
     is_dominant,
     wadd,
     weyl_elements,
@@ -48,26 +46,26 @@ class WeightDiagram:
         return sum(self.table.values())
 
 
-_WEYL_FUNCTIONALS: dict[str, tuple[tuple[tuple[int, ...], ...], int]] = {}
+_WEYL_FUNCTIONALS: dict[str, tuple] = {}
 
 
-def _weyl_functionals(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer functionals D (., alpha) per positive root, and prod_alpha D (rho, alpha).
+def _weyl_functionals(rs: RootSystem) -> tuple[tuple, tuple, int]:
+    """The form scaled to integers, its functionals per positive root, and the Weyl denominator.
 
-    D is the common denominator of ``sym_form``, so every value is an integer
-    and the D's cancel in the Weyl dimension quotient.
+    With D the common denominator of ``sym_form``, returns the integer matrix
+    D ``sym_form``, the integer functionals D (., alpha) per positive root and
+    prod_alpha D (rho, alpha); the D's cancel in every quotient taken here.
     """
     key = str(rs.cartan_type)
     got = _WEYL_FUNCTIONALS.get(key)
     if got is None:
         den = lcm(*(x.denominator for row in rs.sym_form for x in row))
-        sym = [[int(x * den) for x in row] for row in rs.sym_form]
+        sym = tuple(tuple(int(x * den) for x in row) for row in rs.sym_form)
         funcs = tuple(
-            tuple(sum(sym[i][j] * alpha[j] for j in range(rs.rank)) for i in range(rs.rank))
-            for alpha in rs.positive_roots
+            tuple(sum(map(mul, row, alpha)) for row in sym) for alpha in rs.positive_roots
         )
         denom = prod(sum(map(mul, f, rs.rho)) for f in funcs)
-        got = _WEYL_FUNCTIONALS.setdefault(key, (funcs, denom))
+        got = _WEYL_FUNCTIONALS.setdefault(key, (sym, funcs, denom))
     return got
 
 
@@ -75,7 +73,7 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, evaluated exactly in integers."""
     if not is_dominant(lam):
         raise PreconditionError(f"{lam} is not dominant")
-    funcs, denom = _weyl_functionals(rs)
+    _, funcs, denom = _weyl_functionals(rs)
     lam_rho = wadd(lam, rs.rho)
     num = prod(sum(map(mul, f, lam_rho)) for f in funcs)
     dim, rem = divmod(num, denom)
@@ -153,12 +151,14 @@ def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
             if m:
                 acc += sign * m
         value = -acc
-        assert value >= 1, f"recursion produced {value} at {nu}"
+        if value < 1:
+            raise InternalError(f"the W-recursion produced {value} at {nu} in V^{lam}")
         mult[nu] = value
 
     table = {nu: mult[dominant_in_orbit(rs, nu)] for nu in depths}
     diagram = WeightDiagram(highest=lam, table=table, root_system=rs)
-    assert diagram.dimension == weyl_dimension(rs, lam)
+    if diagram.dimension != weyl_dimension(rs, lam):
+        raise InternalError(f"the diagram of V^{lam} totals {diagram.dimension}, not dim V^{lam}")
     with _DIAGRAM_LOCK:
         _DIAGRAM_MEMO.setdefault(key, diagram)
     return _DIAGRAM_MEMO[key]
@@ -175,38 +175,33 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
         (nu for nu in depths if is_dominant(nu)), key=lambda nu: (depths[nu], nu)
     )
     group = weyl_elements(rs)
-    # linear functionals (., alpha) so the inner sums stay cheap
-    alpha_funcs = []
-    for alpha in rs.positive_roots:
-        coeffs = tuple(form(rs, tuple(1 if j == i else 0 for j in range(rs.rank)), alpha)
-                       for i in range(rs.rank))
-        alpha_funcs.append((alpha, coeffs))
-    lam_rho = wadd(lam, rs.rho)
-    top_norm = form(rs, lam_rho, lam_rho)
+    # everything scaled by D, which cancels in the quotient: D (., alpha) and D |x|^2
+    sym, funcs, _ = _weyl_functionals(rs)
 
+    def norm(x: Weight) -> int:
+        return sum(a * sum(map(mul, row, x)) for a, row in zip(x, sym) if a)
+
+    top_norm = norm(wadd(lam, rs.rho))
     table: dict[Weight, int] = {}
     for nu in dominants:
         if nu == lam:
             value = 1
         else:
-            acc = Fraction(0)
-            for alpha, coeffs in alpha_funcs:
+            acc = 0
+            for alpha, f in zip(rs.positive_roots, funcs):
                 cur = wadd(nu, alpha)
-                while True:
-                    m = table.get(cur)
-                    if m is None:
-                        break  # weight strings are unbroken
-                    acc += m * sum(c * x for c, x in zip(coeffs, cur))
+                while (m := table.get(cur)) is not None:  # weight strings are unbroken
+                    acc += m * sum(map(mul, f, cur))
                     cur = wadd(cur, alpha)
-            nu_rho = wadd(nu, rs.rho)
-            denom = top_norm - form(rs, nu_rho, nu_rho)
-            q = 2 * acc / denom
-            assert q.denominator == 1 and q >= 1
-            value = int(q)
+            denom = top_norm - norm(wadd(nu, rs.rho))
+            value, rem = divmod(2 * acc, denom)
+            if rem or value < 1:
+                raise InternalError(f"Freudenthal gives {2 * acc}/{denom} at {nu} in V^{lam}")
         for mat, _ in group:
             table[apply_matrix(mat, nu)] = value
 
-    assert set(table) == set(depths)
+    if set(table) != set(depths):
+        raise InternalError(f"Freudenthal and the support of V^{lam} disagree")
     return WeightDiagram(highest=lam, table=table, root_system=rs)
 
 

@@ -4,10 +4,13 @@ A module is built weight space by weight space, walking down from the highest
 weight vector. Basis vectors are honest f-monomials: the label (i1, ..., is)
 means f_{i1} f_{i2} ... f_{is} applied to the highest weight vector. Inner
 products come from the contravariant form, (f_i u, w) = (u, e_i w), which lets
-each level's Gram matrix be assembled from the level above; a maximal
-independent subset of the spanning monomials (first wins, in label order)
-becomes the basis. Raising matrices are then forced by form-adjointness, so
-bracket relations hold because the matrices are the true module action.
+each level's spanning Gram matrix be assembled, as one block matrix, from the
+level above. The form is positive definite, so one reduced row echelon form
+of that Gram matrix does the rest: its pivot columns are the basis (the
+first independent spanning monomials, in label order) and its rows are the
+lowering blocks, the coordinates of every spanning vector in that basis.
+Raising matrices are then forced by form-adjointness, so bracket relations
+hold because the matrices are the true module action.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     dim = check_dim_cap(rs, lam, max_dim)
     diagram = weight_diagram(rs, lam)
     order = sorted(diagram.table, key=_depth_key(rs, lam))
-    assert order[0] == lam
+    if order[0] != lam:
+        raise InternalError(f"{order[0]} sorts above the highest weight {lam}")
 
     basis: dict[Weight, tuple[MonomialLabel, ...]] = {lam: ((),)}
     gram: dict[Weight, RationalMatrix] = {lam: RationalMatrix.identity(1)}
@@ -105,64 +109,47 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     gram_inv: dict[Weight, RationalMatrix] = {lam: RationalMatrix.identity(1)}
 
     for beta in order[1:]:
-        dirs = [i for i in range(rs.rank) if wadd(beta, rs.simple_roots[i]) in basis]
-        assert dirs, f"no way down to {beta}"
-        ups = {i: wadd(beta, rs.simple_roots[i]) for i in dirs}
-        dims = {i: len(basis[ups[i]]) for i in dirs}
-        offsets = {}
-        total = 0
-        for i in dirs:
-            offsets[i] = total
-            total += dims[i]
+        ups = {i: wadd(beta, a) for i, a in enumerate(rs.simple_roots) if wadd(beta, a) in basis}
+        if not ups:
+            raise InternalError(f"no way down to {beta}")
+        dims = [len(basis[up]) for up in ups.values()]
 
-        # spanning Gram, block by block: (f_i a, f_j b) = d_ij <up, a_i>(a,b) + (a, f_j e_i b)
-        sg = [[None] * total for _ in range(total)]
-        for i in dirs:
-            gi = gram[ups[i]]
-            for j in dirs:
-                up_j = ups[j]
-                cross = wadd(up_j, rs.simple_roots[i])  # == ups[i] + alpha_j
-                block = None
-                e_blk = raising.get((i, up_j))
-                if e_blk is not None and e_blk.rows:
-                    f_blk = lowering.get((j, cross))
-                    assert f_blk is not None
-                    block = gi @ (f_blk @ e_blk)
-                if block is None:
-                    block = RationalMatrix.zeros(dims[i], dims[j])
-                if i == j:
-                    c = ups[i][i]
-                    if c:
-                        block = block + gi.scale(c)
-                for a in range(dims[i]):
-                    row = block.row(a)
-                    for b in range(dims[j]):
-                        sg[offsets[i] + a][offsets[j] + b] = row[b]
-        for s in range(total):
-            for t in range(s):
-                assert sg[s][t] == sg[t][s], f"Gram not symmetric at {beta}"
+        # spanning Gram of the f_i (basis of V_up_i), one block per (i, j):
+        # (f_i a, f_j b) = d_ij <up_i, alpha_i>(a, b) + (a, f_j e_i b)
+        blocks = {}
+        for r, (i, up_i) in enumerate(ups.items()):
+            gi = gram[up_i]
+            for c, (j, up_j) in enumerate(ups.items()):
+                e_blk = raising.get((i, up_j))  # V_up_j -> V_{up_j + alpha_i} = V_{up_i + alpha_j}
+                if e_blk is not None:
+                    blocks[r, c] = gi @ (lowering[(j, wadd(up_j, rs.simple_roots[i]))] @ e_blk)
+                if i == j and up_i[i]:
+                    diag = gi.scale(up_i[i])
+                    blocks[r, c] = blocks[r, c] + diag if (r, c) in blocks else diag
+        span_gram = RationalMatrix.block(dims, dims, blocks)
+        if span_gram != span_gram.transpose():
+            raise InternalError(f"Gram not symmetric at {beta}")
 
+        # the form is positive definite on V_beta, so the relations among the spanning
+        # vectors are those among the Gram columns: the rref pivots are the first-wins
+        # basis and its rows are the coordinates of every spanning vector in that basis
+        chosen, coords = span_gram.rref()
         target = diagram.table[beta]
-        chosen = _greedy_independent(sg, total, target)
         if len(chosen) != target:
-            raise InternalError(f"rank deficit at {beta}: {len(chosen)} < {target}")
-
-        span_pairs = [(i, b) for i in dirs for b in range(dims[i])]
-        labels = tuple((i,) + basis[ups[i]][b] for i, b in (span_pairs[s] for s in chosen))
-        basis[beta] = labels
-        g_beta = RationalMatrix([[sg[a][b] for b in chosen] for a in chosen])
+            raise InternalError(f"rank {len(chosen)} != multiplicity {target} at {beta}")
+        g_beta = span_gram.select(chosen, chosen)
+        if not g_beta.is_positive_definite():
+            raise InternalError(f"contravariant form not positive definite at {beta}")
+        span = [(i,) + label for i, up in ups.items() for label in basis[up]]
+        basis[beta] = tuple(span[s] for s in chosen)
         gram[beta] = g_beta
-        g_beta_inv = g_beta.inverse()
-        gram_inv[beta] = g_beta_inv
-
-        # coordinates of every spanning vector in the chosen basis
-        rhs = RationalMatrix([[sg[a][s] for s in range(total)] for a in chosen], total)
-        coords = g_beta_inv @ rhs
-        for i in dirs:
-            cols = [coords.column(offsets[i] + b) for b in range(dims[i])]
-            lowering[(i, ups[i])] = RationalMatrix.from_columns(cols, target)
+        gram_inv[beta] = g_beta.inverse()
+        offset = 0
+        for (i, up), d in zip(ups.items(), dims):
+            lowering[(i, up)] = coords.select(range(target), range(offset, offset + d))
+            offset += d
             # adjoint forces the raising block: (e u, w) = (u, f w)
-            raising[(i, beta)] = gram_inv[ups[i]] @ lowering[(i, ups[i])].transpose() @ g_beta
+            raising[(i, beta)] = gram_inv[up] @ lowering[(i, up)].transpose() @ g_beta
 
     module = RepModule(
         root_system=rs,
@@ -179,37 +166,6 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     return module
 
 
-def _greedy_independent(sg, total: int, target: int) -> list[int]:
-    """First-wins Gram-Schmidt selection of independent spanning vectors."""
-    chosen: list[int] = []
-    ortho: list[tuple[list, object]] = []
-    for s in range(total):
-        v = [0] * total
-        v[s] = 1
-        for u, nsq in ortho:
-            c = sum(sg[s][t] * u[t] for t in range(total) if u[t]) / nsq
-            if c:
-                v = [a - c * b for a, b in zip(v, u)]
-        nv = _sg_pair(sg, v, v)
-        assert nv >= 0, "contravariant form not positive semidefinite on span"
-        if nv > 0:
-            chosen.append(s)
-            ortho.append((v, nv))
-            if len(chosen) == target:
-                break
-    return chosen
-
-
-def _sg_pair(sg, x, y):
-    total = 0
-    for s, xs in enumerate(x):
-        if not xs:
-            continue
-        row = sg[s]
-        total += xs * sum(row[t] * yt for t, yt in enumerate(y) if yt)
-    return total
-
-
 def build_theta_operators(rs: RootSystem, module: RepModule) -> RepModule:
     """Attach e_theta (nested commutator of simple raisings) and its form-adjoint f_theta."""
     path = rs.theta_path
@@ -222,7 +178,8 @@ def build_theta_operators(rs: RootSystem, module: RepModule) -> RepModule:
     for i in path[1:]:
         nxt, nshift = simple_raise(i)
         cur, shift = _block_commutator(module, nxt, nshift, cur, shift)
-    assert shift == rs.theta
+    if shift != rs.theta:
+        raise InternalError(f"theta path of {rs} ends at {shift}, not theta = {rs.theta}")
 
     theta_raising: dict[Weight, RationalMatrix] = {}
     for src in module.basis_index:
@@ -233,8 +190,8 @@ def build_theta_operators(rs: RootSystem, module: RepModule) -> RepModule:
         if blk is None:
             blk = RationalMatrix.zeros(module.dim_at(tgt), module.dim_at(src))
         theta_raising[src] = blk
-    if module.highest != (0,) * rs.rank:
-        assert any(not blk.is_zero() for blk in theta_raising.values()), "e_theta vanished"
+    if module.highest != (0,) * rs.rank and all(blk.is_zero() for blk in theta_raising.values()):
+        raise InternalError(f"e_theta vanished on V^{module.highest}")
 
     theta_lowering: dict[Weight, RationalMatrix] = {}
     for src in module.basis_index:

@@ -172,7 +172,7 @@ def verify_three_way(restrict_type: str | None = None,
             continue
         rs = build_root_system(name)
         for k in levels:
-            if restrict_level and k != restrict_level:
+            if restrict_level is not None and k != restrict_level:
                 continue
             tables = {b: fusion_table(rs, k, b, max_fz_dim=fz_cap) for b in FUSION_BACKENDS}
             walton = tables.pop("walton")
@@ -203,7 +203,7 @@ def verify_axioms(restrict_type: str | None = None,
             continue
         rs = build_root_system(name)
         for k in levels:
-            if restrict_level and k != restrict_level:
+            if restrict_level is not None and k != restrict_level:
                 continue
             table = fusion_table(rs, k)
             alcove = table.alcove
@@ -351,10 +351,7 @@ def _lemma_projection(report: SuiteReport, seed: int) -> None:
                 overlap.is_zero(),
                 lambda t=trial: f"projection split trial {t}: summands not orthogonal",
             )
-        joint = RationalMatrix.from_columns(
-            [part1.column(i) for i in range(dim1)] + [cap.column(i) for i in range(dim2)],
-            dim_w,
-        )
+        joint = RationalMatrix.block([dim_w], [dim1, dim2], {(0, 0): part1, (0, 1): cap})
         report.check(
             joint.rank() == dim_w,
             lambda t=trial: f"projection split trial {t}: summands do not span W",
@@ -379,27 +376,15 @@ def _random_subspace(rng: random.Random, n: int) -> RationalMatrix:
 
 
 def _column_space(mat: RationalMatrix) -> RationalMatrix:
-    cols = []
-    seen = RationalMatrix.zeros(0, mat.rows)
-    for j in range(mat.cols):
-        cand = RationalMatrix.vstack([seen, RationalMatrix([mat.column(j)], mat.rows)], cols=mat.rows)
-        if cand.rank() > seen.rank():
-            seen = cand
-            cols.append(mat.column(j))
-    return RationalMatrix.from_columns(cols, mat.rows)
+    """The first-wins independent columns of mat."""
+    pivots, _ = mat.rref()
+    return mat.select(range(mat.rows), pivots)
 
 
 def _intersection_in_first(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Basis (in a's coordinates) of colspace(a) cap colspace(b)."""
-    if b.cols == 0:
-        return RationalMatrix.zeros(a.cols, 0)
-    joint = RationalMatrix(
-        [list(a.row(i)) + [-x for x in b.row(i)] for i in range(a.rows)],
-        a.cols + b.cols,
-    )
-    null = joint.kernel()
-    coords = RationalMatrix([null.row(i) for i in range(a.cols)], null.cols)
-    return _column_space(coords)
+    null = RationalMatrix.block([a.rows], [a.cols, b.cols], {(0, 0): a, (0, 1): -b}).kernel()
+    return _column_space(null.select(range(a.cols), range(null.cols)))
 
 
 def verify_stability() -> SuiteReport:
@@ -453,15 +438,12 @@ def verify_multiplicity_oracle(dim_cap: int = 500) -> SuiteReport:
     return report
 
 
+# suite name -> (runner, the filter options it takes)
 CLI_SUITES = {
-    "sl2-closed-form": lambda cartan=None, level=None: verify_sl2_closed_form(),
-    "prv": lambda cartan=None, level=None: verify_prv(restrict_type=cartan),
-    "three-way": lambda cartan=None, level=None: verify_three_way(
-        restrict_type=cartan, restrict_level=level
-    ),
-    "axioms": lambda cartan=None, level=None: verify_axioms(
-        restrict_type=cartan, restrict_level=level
-    ),
-    "lemmas": lambda cartan=None, level=None: verify_lemmas(),
-    "stability": lambda cartan=None, level=None: verify_stability(),
+    "sl2-closed-form": (verify_sl2_closed_form, ()),
+    "prv": (verify_prv, ("--type",)),
+    "three-way": (verify_three_way, ("--type", "--level")),
+    "axioms": (verify_axioms, ("--type", "--level")),
+    "lemmas": (verify_lemmas, ()),
+    "stability": (verify_stability, ()),
 }

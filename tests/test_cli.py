@@ -138,6 +138,36 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, named", [
+    (("three-way", "--type", "B2"), "--type B2"),
+    (("three-way", "--level", "9"), "--level 9"),
+    (("prv", "--type", "G2"), "--type G2"),
+    (("axioms", "--type", "A2", "--level", "7"), "--type A2 --level 7"),
+    (("axioms", "--type", "A1", "--level", "0"), "--type A1 --level 0"),
+])
+def test_verify_with_no_matching_checks_is_a_precondition_error(capsys, args, named):
+    """A filter that selects nothing exits 3 and names itself instead of passing 0 checks."""
+    code = main(["verify", *args])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "sl2-closed-form", "stability"])
+@pytest.mark.parametrize("option", [("--type", "G2"), ("--level", "2")])
+def test_verify_filter_a_suite_ignores_is_a_parse_error(capsys, suite, option):
+    code, out = run(capsys, "verify", suite, *option)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("option", [
+    ("--max-dim", "1"), ("--max-fz-dim", "1"), ("--format", "tsv"), ("--cache-dir", "x"),
+])
+def test_verify_takes_no_table_options(capsys, option):
+    code, out = run(capsys, "verify", "three-way", "--type", "A2", "--level", "1", *option)
+    assert code == 2 and out == ""
+
+
 def test_fusion_requires_zero_or_three_weights(capsys):
     code, _ = run(capsys, "fusion", "A1", "--level", "1", "1")
     assert code == 2

@@ -220,11 +220,113 @@ def test_equal_values_by_different_routes_are_equal_and_hash_equal(drawn, c):
         (m + m) - m,
         RationalMatrix.identity(len(a)) @ m,
         RationalMatrix.vstack([m.scale(c)], cols=cols).scale(Fraction(1, c)),
-        RationalMatrix.from_columns([m.column(j) for j in range(cols)], len(a)),
+        RationalMatrix.block([len(a)], [cols // 2, cols - cols // 2], {
+            (0, 0): m.select(range(len(a)), range(cols // 2)),
+            (0, 1): m.select(range(len(a)), range(cols // 2, cols)),
+        }),
     ]
     for other in routes:
         assert other == m and hash(other) == hash(m)
         assert _as_lists(other) == a
+
+
+@st.composite
+def _block_grids(draw):
+    """Block heights, widths, and the Fraction rows of each present block."""
+    heights = draw(st.lists(st.integers(0, 3), max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), max_size=3))
+    grid = {}
+    for r, h in enumerate(heights):
+        for c, w in enumerate(widths):
+            if draw(st.booleans()):
+                grid[r, c] = [[draw(_entries) for _ in range(w)] for _ in range(h)]
+    return heights, widths, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_grids())
+def test_block_matches_concatenated_lists(drawn):
+    heights, widths, grid = drawn
+    got = RationalMatrix.block(
+        heights, widths, {rc: RationalMatrix(b, widths[rc[1]]) for rc, b in grid.items()}
+    )
+    expect = [
+        [x for c, w in enumerate(widths) for x in (grid[r, c][i] if (r, c) in grid else [0] * w)]
+        for r, h in enumerate(heights)
+        for i in range(h)
+    ]
+    assert (got.rows, got.cols) == (sum(heights), sum(widths))
+    assert _as_lists(got) == expect
+    if heights and widths:
+        with pytest.raises(ValueError):
+            RationalMatrix.block(heights, widths, {(0, 0): RationalMatrix.zeros(heights[0] + 1, 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lists(), st.data())
+def test_select_matches_reference(drawn, data):
+    a, cols = drawn
+    rows = data.draw(st.lists(st.integers(0, len(a) - 1), max_size=5)) if a else []
+    picks = data.draw(st.lists(st.integers(0, cols - 1), max_size=5)) if cols else []
+    got = RationalMatrix(a, cols).select(rows, picks)
+    assert (got.rows, got.cols) == (len(rows), len(picks))
+    assert _as_lists(got) == [[a[i][j] for j in picks] for i in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists())
+def test_rref_pivots_are_first_wins_and_rows_rebuild_every_column(drawn):
+    a, cols = drawn
+    pivots, rows = RationalMatrix(a, cols).rref()
+    columns = [[row[j] for row in a] for j in range(cols)]
+
+    def rank_of(picked):
+        return len(_ref_rref([[col[i] for col in picked] for i in range(len(a))], len(picked))[1])
+
+    first_wins = [j for j in range(cols) if rank_of(columns[: j + 1]) > rank_of(columns[:j])]
+    assert pivots == first_wins
+    ref, _ = _ref_rref(a, cols)
+    assert (rows.rows, rows.cols) == (len(pivots), cols)
+    assert _as_lists(rows) == ref[: len(pivots)]
+    r = _as_lists(rows)
+    for s, col in enumerate(columns):
+        rebuilt = [sum((r[t][s] * columns[p][i] for t, p in enumerate(pivots)), Fraction(0))
+                   for i in range(len(a))]
+        assert rebuilt == col
+
+
+def _ref_det(m):
+    m = [list(row) for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pr = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: _lists(rows=n, cols=n)), st.integers(0, 2))
+def test_is_positive_definite_matches_leading_minors(drawn, kind):
+    b, n = drawn
+    bt = [[b[i][j] for i in range(n)] for j in range(n)]
+    if kind == 0:  # symmetric, often indefinite
+        a = [[b[i][j] + bt[i][j] for j in range(n)] for i in range(n)]
+    else:  # B^T B is semidefinite; adding 1 makes it definite
+        a = _ref_product(bt, b, n, n, n)
+        if kind == 2:
+            a = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    expect = all(_ref_det([row[:k] for row in a[:k]]) > 0 for k in range(1, n + 1))
+    assert RationalMatrix(a, n).is_positive_definite() == expect
+    if kind == 2:
+        assert expect
 
 
 def test_zero_shapes_and_normal_form():

@@ -336,3 +336,75 @@ def test_concurrent_power_chain_extension_stays_correct(a2):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+# -- build_module against the first-wins Gram-Schmidt it replaced -------------
+#
+# The reference below is the list-of-Fraction code build_module used before it
+# took the basis and the lowering blocks from one reduced row echelon form:
+# orthogonalise the spanning vectors in label order, keep each one of positive
+# norm, then solve for every spanning vector's coordinates in the kept ones.
+
+def _frac_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _reference_greedy_independent(sg, total, target):
+    chosen = []
+    ortho = []
+    for s in range(total):
+        v = [Fraction(0)] * total
+        v[s] = Fraction(1)
+        for u, nsq in ortho:
+            c = sum(sg[s][t] * u[t] for t in range(total) if u[t]) / nsq
+            if c:
+                v = [a - c * b for a, b in zip(v, u)]
+        nv = sum(v[s] * sum(sg[s][t] * v[t] for t in range(total)) for s in range(total))
+        assert nv >= 0
+        if nv > 0:
+            chosen.append(s)
+            ortho.append((v, nv))
+            if len(chosen) == target:
+                break
+    return chosen
+
+
+@pytest.mark.parametrize(
+    "name, lam", [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 1)), ("C3", (1, 0, 1))]
+)
+def test_basis_and_lowering_match_fraction_gram_schmidt(name, lam):
+    rs = build_root_system(name)
+    module = cached_module(rs, lam)
+    for beta, labels in module.basis_index.items():
+        if beta == lam:
+            continue
+        ups = {i: wadd(beta, a) for i, a in enumerate(rs.simple_roots)
+               if wadd(beta, a) in module.basis_index}
+        span = [((i,) + label, i, up) for i, up in ups.items() for label in module.basis_index[up]]
+        # (f_i a, f_j b) = d_ij <up_i, alpha_i>(a, b) + (a, f_j e_i b), from the levels above
+        rows = []
+        for i, up_i in ups.items():
+            gi = module.gram[up_i].data
+            row_blocks = []
+            for j, up_j in ups.items():
+                blk = [[Fraction(0)] * module.dim_at(up_j) for _ in range(module.dim_at(up_i))]
+                e = module.raising.get((i, up_j))
+                if e is not None:
+                    f = module.lowering[(j, wadd(up_j, rs.simple_roots[i]))]
+                    blk = _frac_product(gi, _frac_product(f.data, e.data))
+                if i == j:
+                    blk = [[x + up_i[i] * g for x, g in zip(r1, r2)] for r1, r2 in zip(blk, gi)]
+                row_blocks.append(blk)
+            for a in range(module.dim_at(up_i)):
+                rows.append([x for blk in row_blocks for x in blk[a]])
+        chosen = _reference_greedy_independent(rows, len(span), len(labels))
+        assert tuple(span[s][0] for s in chosen) == labels
+        g = [[rows[a][b] for b in chosen] for a in chosen]
+        assert module.gram[beta].data == tuple(map(tuple, g))
+        # each lowering block L solves G L = (chosen rows of the spanning Gram)
+        offset = 0
+        for i, up in ups.items():
+            d = module.dim_at(up)
+            rhs = [[rows[a][offset + b] for b in range(d)] for a in chosen]
+            assert _frac_product(g, [list(r) for r in module.lowering[(i, up)].data]) == rhs
+            offset += d
