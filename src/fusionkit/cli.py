@@ -9,6 +9,7 @@ repeated invocations. Exit codes: 0 ok, 1 internal error, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
@@ -207,27 +208,28 @@ def cmd_fusion(args) -> int:
     return 0
 
 
-# verify filter option -> keyword of the suite functions
-_VERIFY_FILTERS = {"--type": "restrict_type", "--level": "restrict_level"}
-
-
 def cmd_verify(args) -> int:
-    suite = CLI_SUITES.get(args.suite)
-    if suite is None:
+    run = CLI_SUITES.get(args.suite)
+    if run is None:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(CLI_SUITES))}"
         )
-    run, takes = suite
-    given = {opt: v for opt, v in (("--type", args.type), ("--level", args.level)) if v is not None}
-    refused = [opt for opt in given if opt not in takes]
+    filters = [
+        (opt, kw, v)
+        for opt, kw, v in (("--type", "restrict_type", args.type),
+                           ("--level", "restrict_level", args.level))
+        if v is not None
+    ]
+    takes = inspect.signature(run).parameters
+    refused = [opt for opt, kw, _ in filters if kw not in takes]
     if refused:
         raise ParseError(f"verify {args.suite} takes no {' or '.join(refused)}")
     if args.type is not None:
-        build_root_system(args.type, max_weyl_order=args.max_weyl)  # validate early
-    report = run(**{_VERIFY_FILTERS[opt]: v for opt, v in given.items()})
+        build_root_system(args.type)  # validate early
+    report = run(**{kw: v for _, kw, v in filters})
     if report.checks == 0:
-        filters = " ".join(f"{opt} {v}" for opt, v in given.items())
-        raise PreconditionError(f"verify {args.suite}: no checks match {filters}")
+        named = " ".join(f"{opt} {v}" for opt, _, v in filters)
+        raise PreconditionError(f"verify {args.suite}: no checks match {named}")
     print(report.summary())
     for failure in report.failures[:10]:
         print(f"  {failure}")
@@ -276,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
-    p.add_argument("--max-weyl", type=int, default=DEFAULT_WEYL_CAP)
     p.add_argument("--type", dest="type", default=None)
     p.add_argument("--level", type=int, default=None)
     p.set_defaults(func=cmd_verify)

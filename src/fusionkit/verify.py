@@ -438,12 +438,12 @@ def verify_multiplicity_oracle(dim_cap: int = 500) -> SuiteReport:
     return report
 
 
-# suite name -> (runner, the filter options it takes)
+# suite name -> runner; the filters a suite takes are its restrict_* parameters
 CLI_SUITES = {
-    "sl2-closed-form": (verify_sl2_closed_form, ()),
-    "prv": (verify_prv, ("--type",)),
-    "three-way": (verify_three_way, ("--type", "--level")),
-    "axioms": (verify_axioms, ("--type", "--level")),
-    "lemmas": (verify_lemmas, ()),
-    "stability": (verify_stability, ()),
+    "sl2-closed-form": verify_sl2_closed_form,
+    "prv": verify_prv,
+    "three-way": verify_three_way,
+    "axioms": verify_axioms,
+    "lemmas": verify_lemmas,
+    "stability": verify_stability,
 }

@@ -161,7 +161,8 @@ def test_verify_filter_a_suite_ignores_is_a_parse_error(capsys, suite, option):
 
 
 @pytest.mark.parametrize("option", [
-    ("--max-dim", "1"), ("--max-fz-dim", "1"), ("--format", "tsv"), ("--cache-dir", "x"),
+    ("--max-dim", "1"), ("--max-fz-dim", "1"), ("--max-weyl", "1"), ("--format", "tsv"),
+    ("--cache-dir", "x"),
 ])
 def test_verify_takes_no_table_options(capsys, option):
     code, out = run(capsys, "verify", "three-way", "--type", "A2", "--level", "1", *option)
