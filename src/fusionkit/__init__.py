@@ -30,6 +30,7 @@ from .linalg import RationalMatrix
 from .multiplicity import (
     WeightDiagram,
     freudenthal_diagram,
+    recursion_diagram,
     weight_diagram,
     weyl_dimension,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "parse_cartan_type",
     "power_kernel",
     "prv_dimension",
+    "recursion_diagram",
     "reflect",
     "root_pairing",
     "stability_threshold",

@@ -88,17 +88,20 @@ def _require_weight(rs: RootSystem, lam: Weight, beta: Weight) -> None:
         raise PreconditionError(f"beta = {beta} is not a weight of V^{lam}")
 
 
-def _constrained_dimension(rs: RootSystem, lam: Weight, beta: Weight,
-                           constraints: list[tuple[str, int]], max_dim: int) -> int:
+def _constrained_dimension(module: RepModule, beta: Weight,
+                           constraints: list[tuple[str, int]]) -> int:
     """dim{v in V^lam_beta : op^p v = 0 for every (op, p) in constraints}."""
-    module = cached_module(rs, lam, max_dim)
     dim = module.dim_at(beta)
     blocks = [operator_power_block(module, op, p, beta) for op, p in constraints]
-    return dim - RationalMatrix.vstack(blocks, cols=dim).rank()
+    return dim - RationalMatrix.stack_numerators(blocks, dim).rank()
 
 
 def _prv_constraints(mu: Weight) -> list[tuple[str, int]]:
     return [(f"e{j}", m + 1) for j, m in enumerate(mu)]
+
+
+def _walton_constraints(rs: RootSystem, k: int, mu: Weight, top: Weight) -> list[tuple[str, int]]:
+    return _prv_constraints(mu) + [("etheta", k - theta_pairing(rs, top) + 1)]
 
 
 def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
@@ -112,7 +115,7 @@ def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
         if not is_dominant(w):
             raise PreconditionError(f"{name} = {w} is not dominant")
     _require_weight(rs, lam, beta)
-    return _constrained_dimension(rs, lam, beta, _prv_constraints(mu), max_dim)
+    return _constrained_dimension(cached_module(rs, lam, max_dim), beta, _prv_constraints(mu))
 
 
 def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weight,
@@ -125,8 +128,9 @@ def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weig
     _require_weight(rs, lam, beta)
     top = wadd(beta, mu)
     _require_alcove(rs, k, top, "beta+mu")
-    constraints = _prv_constraints(mu) + [("etheta", k - theta_pairing(rs, top) + 1)]
-    return _constrained_dimension(rs, lam, beta, constraints, max_dim)
+    return _constrained_dimension(
+        cached_module(rs, lam, max_dim), beta, _walton_constraints(rs, k, mu, top)
+    )
 
 
 def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
@@ -141,6 +145,23 @@ def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weig
     if beta not in weight_diagram(rs, lam).table:
         return 0
     return walton_dimension(rs, k, lam, beta, mu, max_dim)
+
+
+def _walton_row(rs: RootSystem, k: int, lam: Weight, mu: Weight, max_dim: int) -> dict[Weight, int]:
+    """Every N^(k)nu_{lam,mu} with nu - mu a weight of V^lam, from one module.
+
+    beta runs over the weights of V^lam with beta + mu in the alcove, so the
+    cells whose nu - mu is not a weight (zero) are never visited.
+    """
+    _require_alcove(rs, k, lam, "lam")
+    _require_alcove(rs, k, mu, "mu")
+    module = cached_module(rs, lam, max_dim)
+    row = {}
+    for beta in module.basis_index:
+        nu = wadd(beta, mu)
+        if in_alcove(rs, k, nu):
+            row[nu] = _constrained_dimension(module, beta, _walton_constraints(rs, k, mu, nu))
+    return row
 
 
 def affine_fold(rs: RootSystem, x: Weight, shifted_level: int) -> tuple[Weight | None, int]:
@@ -317,16 +338,15 @@ def fusion_table(rs: RootSystem, k: int, backend: str = "walton",
                  max_fz_dim: int = DEFAULT_FZ_CAP) -> FusionTable:
     """The full level-k table, built one (lam, mu) row at a time.
 
-    ``walton`` (production) runs fusion_coefficient on every cell;
+    ``walton`` (production) ranks the Walton space at every weight beta of
+    V^lam with beta + mu in the alcove, on one module per row;
     ``kacwalton`` folds one tensor decomposition per row; ``fz`` runs the
     Frenkel-Zhu oracle on every cell, except in the rows its caps refuse,
     which it lists in ``skipped``.
     """
     alcove = level_alcove(rs, k)
     rows = {  # (lam, mu) -> {nu: N^(k)nu_{lam,mu}}, absent nu counting as 0
-        "walton": lambda lam, mu: {
-            nu: fusion_coefficient(rs, k, lam, mu, nu, max_dim) for nu in alcove
-        },
+        "walton": lambda lam, mu: _walton_row(rs, k, lam, mu, max_dim),
         "kacwalton": lambda lam, mu: _kac_walton_row(rs, k, lam, mu),
         "fz": lambda lam, mu: {
             nu: fusion_coefficient_via_fz(rs, k, lam, mu, nu, max_fz_dim, max_dim)

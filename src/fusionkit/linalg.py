@@ -7,7 +7,8 @@ unique for each rational matrix, so equality and hashing go by value.
 Products, sums, scaling, Kronecker products and the three structural
 primitives work on the numerators with Python ints: ``block`` assembles
 sparse blocks over one common denominator (``vstack`` is its one-column
-case), ``select`` takes a submatrix, and ``rref`` returns the pivot columns
+case; ``stack_numerators`` stacks rows for rank and kernel without it),
+``select`` takes a submatrix, and ``rref`` returns the pivot columns
 and the nonzero rows of the reduced row echelon form. Rank and the
 positive-definiteness test use fraction-free Bareiss elimination (Bareiss
 1968); ``rref``, kernels and inverses use its Gauss-Jordan variant, after
@@ -125,6 +126,21 @@ class RationalMatrix:
                 raise ValueError("vstack of nothing needs an explicit column count")
             cols = mats[0].cols
         return cls.block([m.rows for m in mats], [cols], {(r, 0): m for r, m in enumerate(mats)})
+
+    @classmethod
+    def stack_numerators(cls, mats: Iterable["RationalMatrix"], cols: int) -> "RationalMatrix":
+        """The blocks' integer numerator rows stacked over denominator 1.
+
+        Each row is a positive multiple of the same row of ``vstack(mats)``, so
+        rank and kernel are those of the stack, without rescaling every block
+        to a common denominator and normalising the result.
+        """
+        num = []
+        for m in mats:
+            if m.cols != cols:
+                raise ValueError(f"a {m.rows}x{m.cols} block in a stack of width {cols}")
+            num.extend(m.num)
+        return cls._from_ints(tuple(num), 1, len(num), cols)
 
     @property
     def data(self) -> tuple[tuple[Q, ...], ...]:

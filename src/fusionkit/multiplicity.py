@@ -1,8 +1,12 @@
 """Weight diagrams of irreducible highest weight modules.
 
-Two independent constructions are provided: the Weyl-group recursion
-``Mult(nu) = -sum_{w != 1} eps(w) Mult(nu + rho - w rho)`` and the classical
-Freudenthal formula. They must produce identical tables; the sum of all
+Production diagrams (``weight_diagram``, memoised) come from the Freudenthal
+formula in integers, evaluated on the dominant weights only; each value is
+then written to the whole W-orbit of its weight by walking simple
+reflections, so no Weyl group element is ever built. The independent oracle
+is the Weyl-group recursion ``Mult(nu) = -sum_{w != 1} eps(w) Mult(nu + rho -
+w rho)`` (``recursion_diagram``), whose shifts come from the orbit of rho
+walked the same way. Both tables must be identical, and the sum of all
 multiplicities must match the Weyl dimension formula. Diagrams are stored in
 full (every W-orbit member is a key) so downstream folding sums can read them
 at arbitrary arguments.
@@ -20,12 +24,12 @@ from .errors import InternalError, PreconditionError
 from .rootdata import (
     RootSystem,
     Weight,
-    alpha_coordinates,
-    apply_matrix,
     dominant_in_orbit,
+    in_root_lattice_below,
     is_dominant,
+    root_lattice_depth,
     wadd,
-    weyl_elements,
+    weyl_orbit,
     wsub,
 )
 
@@ -91,12 +95,6 @@ def weight_support(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """
     if not is_dominant(lam):
         raise PreconditionError(f"{lam} is not dominant")
-
-    def member(nu: Weight) -> bool:
-        dom = dominant_in_orbit(rs, nu)
-        diff = alpha_coordinates(rs, wsub(lam, dom))
-        return all(c.denominator == 1 and c >= 0 for c in diff)
-
     depths = {lam: 0}
     frontier = [lam]
     while frontier:
@@ -105,8 +103,34 @@ def weight_support(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
             d = depths[nu]
             for a in rs.simple_roots:
                 cand = wsub(nu, a)
-                if cand not in depths and member(cand):
+                if cand not in depths and in_root_lattice_below(
+                    rs, dominant_in_orbit(rs, cand), lam
+                ):
                     depths[cand] = d + 1
+                    nxt.append(cand)
+        frontier = nxt
+    return depths
+
+
+def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
+    """The dominant weights of V^lam with their depth below lam.
+
+    They are the dominant nu with lam - nu a nonnegative sum of simple roots,
+    and each is reached from lam through dominant weights by subtracting one
+    positive root at a time (Stembridge 1998), so a walk over positive roots
+    that stays dominant finds them all with no membership test.
+    """
+    if not is_dominant(lam):
+        raise PreconditionError(f"{lam} is not dominant")
+    depths = {lam: 0}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for nu in frontier:
+            for alpha in rs.positive_roots:
+                cand = wsub(nu, alpha)
+                if cand not in depths and is_dominant(cand):
+                    depths[cand] = root_lattice_depth(rs, cand, lam)
                     nxt.append(cand)
         frontier = nxt
     return depths
@@ -117,64 +141,26 @@ _DIAGRAM_LOCK = threading.Lock()
 
 
 def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
-    """Full weight diagram of V^lam via the Weyl-recursion for multiplicities.
-
-    rho - w rho is a positive root sum for w != 1, so the recursion only ever
-    consults strictly higher weights and is well founded.
-    """
+    """Full weight diagram of V^lam, memoised: the production form of freudenthal_diagram."""
     lam = tuple(lam)
     key = (str(rs.cartan_type), lam)
     got = _DIAGRAM_MEMO.get(key)
     if got is not None:
         return got
-    if not is_dominant(lam):
-        raise PreconditionError(f"{lam} is not dominant")
-
-    depths = weight_support(rs, lam)
-    dominants = sorted(
-        (nu for nu in depths if is_dominant(nu)), key=lambda nu: (depths[nu], nu)
-    )
-    group = weyl_elements(rs)
-    shifts = []
-    for mat, sign in group[1:]:
-        shifts.append((wsub(rs.rho, apply_matrix(mat, rs.rho)), sign))
-
-    mult: dict[Weight, int] = {}
-    for nu in dominants:
-        if nu == lam:
-            mult[nu] = 1
-            continue
-        acc = 0
-        for shift, sign in shifts:
-            arg = dominant_in_orbit(rs, wadd(nu, shift))
-            m = mult.get(arg)
-            if m:
-                acc += sign * m
-        value = -acc
-        if value < 1:
-            raise InternalError(f"the W-recursion produced {value} at {nu} in V^{lam}")
-        mult[nu] = value
-
-    table = {nu: mult[dominant_in_orbit(rs, nu)] for nu in depths}
-    diagram = WeightDiagram(highest=lam, table=table, root_system=rs)
-    if diagram.dimension != weyl_dimension(rs, lam):
-        raise InternalError(f"the diagram of V^{lam} totals {diagram.dimension}, not dim V^{lam}")
+    diagram = freudenthal_diagram(rs, lam)
     with _DIAGRAM_LOCK:
         _DIAGRAM_MEMO.setdefault(key, diagram)
     return _DIAGRAM_MEMO[key]
 
 
 def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
-    """Independent oracle: the Freudenthal multiplicity formula."""
-    lam = tuple(lam)
-    if not is_dominant(lam):
-        raise PreconditionError(f"{lam} is not dominant")
+    """The Freudenthal formula on the dominant weights, each value written to its W-orbit.
 
-    depths = weight_support(rs, lam)
-    dominants = sorted(
-        (nu for nu in depths if is_dominant(nu)), key=lambda nu: (depths[nu], nu)
-    )
-    group = weyl_elements(rs)
+    Dominant weights are taken highest first, so every weight nu + j alpha
+    the formula reads lies in the orbit of a dominant weight already done.
+    """
+    lam = tuple(lam)
+    depths = dominant_weights(rs, lam)
     # everything scaled by D, which cancels in the quotient: D (., alpha) and D |x|^2
     sym, funcs, _ = _weyl_functionals(rs)
 
@@ -183,25 +169,65 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
 
     top_norm = norm(wadd(lam, rs.rho))
     table: dict[Weight, int] = {}
-    for nu in dominants:
+    for nu in sorted(depths, key=lambda nu: (depths[nu], nu)):
         if nu == lam:
             value = 1
         else:
             acc = 0
             for alpha, f in zip(rs.positive_roots, funcs):
                 cur = wadd(nu, alpha)
+                pair, step = sum(map(mul, f, cur)), sum(map(mul, f, alpha))
                 while (m := table.get(cur)) is not None:  # weight strings are unbroken
-                    acc += m * sum(map(mul, f, cur))
+                    acc += m * pair  # pair = D (cur, alpha), growing by D (alpha, alpha)
+                    pair += step
                     cur = wadd(cur, alpha)
             denom = top_norm - norm(wadd(nu, rs.rho))
             value, rem = divmod(2 * acc, denom)
             if rem or value < 1:
                 raise InternalError(f"Freudenthal gives {2 * acc}/{denom} at {nu} in V^{lam}")
-        for mat, _ in group:
-            table[apply_matrix(mat, nu)] = value
+        for level in weyl_orbit(rs, nu):
+            table.update(dict.fromkeys(level, value))
 
-    if set(table) != set(depths):
-        raise InternalError(f"Freudenthal and the support of V^{lam} disagree")
+    diagram = WeightDiagram(highest=lam, table=table, root_system=rs)
+    if diagram.dimension != weyl_dimension(rs, lam):
+        raise InternalError(f"the diagram of V^{lam} totals {diagram.dimension}, not dim V^{lam}")
+    return diagram
+
+
+def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
+    """Independent oracle: the Weyl-group recursion on the support found by weight_support.
+
+    The shifts rho - w rho come from the orbit of rho walked by simple
+    reflections: rho is regular, so each w != 1 appears once, at the depth
+    l(w), and eps(w) = (-1)^l(w). rho - w rho is a positive root sum for
+    w != 1, so the recursion only ever consults strictly higher weights.
+    """
+    lam = tuple(lam)
+    depths = weight_support(rs, lam)
+    dominants = sorted(
+        (nu for nu in depths if is_dominant(nu)), key=lambda nu: (depths[nu], nu)
+    )
+    shifts = [
+        (wsub(rs.rho, x), -1 if length % 2 else 1)
+        for length, level in enumerate(weyl_orbit(rs, rs.rho))
+        if length
+        for x in level
+    ]
+    mult: dict[Weight, int] = {}
+    for nu in dominants:
+        if nu == lam:
+            mult[nu] = 1
+            continue
+        acc = 0
+        for shift, sign in shifts:
+            m = mult.get(dominant_in_orbit(rs, wadd(nu, shift)))
+            if m:
+                acc += sign * m
+        value = -acc
+        if value < 1:
+            raise InternalError(f"the W-recursion produced {value} at {nu} in V^{lam}")
+        mult[nu] = value
+    table = {nu: mult[dominant_in_orbit(rs, nu)] for nu in depths}
     return WeightDiagram(highest=lam, table=table, root_system=rs)
 
 

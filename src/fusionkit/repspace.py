@@ -24,7 +24,7 @@ from .multiplicity import WeightDiagram, weight_diagram, weyl_dimension
 from .rootdata import (
     RootSystem,
     Weight,
-    alpha_coordinates,
+    root_lattice_depth,
     wadd,
     wscale,
     wsub,
@@ -77,14 +77,6 @@ class RepModule:
         return got
 
 
-def _depth_key(rs: RootSystem, lam: Weight):
-    def key(nu: Weight):
-        coords = alpha_coordinates(rs, wsub(lam, nu))
-        return (int(sum(coords)), nu)
-
-    return key
-
-
 def check_dim_cap(rs: RootSystem, lam: Weight, max_dim: int) -> int:
     """dim V^lam by the Weyl formula; CapExceededError when it is over max_dim."""
     dim = weyl_dimension(rs, lam)
@@ -98,7 +90,7 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     lam = tuple(lam)
     dim = check_dim_cap(rs, lam, max_dim)
     diagram = weight_diagram(rs, lam)
-    order = sorted(diagram.table, key=_depth_key(rs, lam))
+    order = sorted(diagram.table, key=lambda nu: (root_lattice_depth(rs, nu, lam), nu))
     if order[0] != lam:
         raise InternalError(f"{order[0]} sorts above the highest weight {lam}")
 

@@ -15,8 +15,9 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add, mul, neg, sub
 
-from .errors import CapExceededError, PreconditionError, UnsupportedTypeError
+from .errors import CapExceededError, InternalError, PreconditionError, UnsupportedTypeError
 
 Weight = tuple[int, ...]
 
@@ -82,15 +83,15 @@ def parse_cartan_type(text: str, max_weyl_order: int = DEFAULT_WEYL_CAP) -> Cart
 # -- weight tuple helpers ----------------------------------------------------
 
 def wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def wneg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def wscale(c: int, a: Weight) -> Weight:
@@ -144,12 +145,16 @@ class RootSystem:
 
     ``cartan_matrix`` is oriented so its columns are the simple roots in
     fundamental-weight coordinates. ``sym_form`` holds the Gram matrix
-    (lam_i, lam_j) of the fundamental weights.
+    (lam_i, lam_j) of the fundamental weights. ``cartan_inverse_num`` is
+    ``cartan_inverse`` times its common denominator ``cartan_inverse_den``,
+    so simple-root coordinates are integer sums over one integer divisor.
     """
 
     cartan_type: CartanType
     cartan_matrix: tuple[tuple[int, ...], ...]
     cartan_inverse: tuple[tuple[Fraction, ...], ...]
+    cartan_inverse_num: tuple[tuple[int, ...], ...]
+    cartan_inverse_den: int
     simple_roots: tuple[Weight, ...]
     root_halfnorms: tuple[Fraction, ...]  # d_i = (alpha_i, alpha_i)/2
     sym_form: tuple[tuple[Fraction, ...], ...]
@@ -248,7 +253,8 @@ def build_root_system(t: CartanType | str, max_weyl_order: int = DEFAULT_WEYL_CA
         row = []
         for j in range(rank):
             q = pair_form[i][j] / d[i]
-            assert q.denominator == 1
+            if q.denominator != 1:
+                raise InternalError(f"Cartan entry ({i}, {j}) of {t} is {q}, not an integer")
             row.append(int(q))
         cartan.append(tuple(row))
     cartan = tuple(cartan)
@@ -260,25 +266,27 @@ def build_root_system(t: CartanType | str, max_weyl_order: int = DEFAULT_WEYL_CA
     cartan_inverse = tuple(tuple(minv.row(i)) for i in range(rank))
     # sym_form G solves G @ M = diag(d), i.e. (lam_i, alpha_j) = d_j delta_ij
     sym = tuple(tuple(d[i] * minv[i, j] for j in range(rank)) for i in range(rank))
-    for i in range(rank):
-        for j in range(rank):
-            assert sym[i][j] == sym[j][i]
+    if any(sym[i][j] != sym[j][i] for i in range(rank) for j in range(rank)):
+        raise InternalError(f"the form of {t} is not symmetric")
 
     positive, alpha_coords, parent = _close_positive_roots(simple, rank)
     heights = {r: sum(alpha_coords[r]) for r in positive}
     max_h = max(heights.values())
     tops = [r for r in positive if heights[r] == max_h]
-    assert len(tops) == 1, "highest root must be unique"
+    if len(tops) != 1:
+        raise InternalError(f"{t} has {len(tops)} roots of maximal height, not one")
     theta = tops[0]
     marks = alpha_coords[theta]
     comarks = []
     for i in range(rank):
         c = marks[i] * d[i]
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise InternalError(f"comark {i} of {t} is {c}, not an integer")
         comarks.append(int(c))
     # theta dominates every root in the partial order
     for r in positive:
-        assert all(m - a >= 0 for m, a in zip(marks, alpha_coords[r]))
+        if any(m < a for m, a in zip(marks, alpha_coords[r])):
+            raise InternalError(f"the highest root of {t} does not dominate {r}")
 
     path = []
     node = theta
@@ -294,7 +302,8 @@ def build_root_system(t: CartanType | str, max_weyl_order: int = DEFAULT_WEYL_CA
     def _form(a: Weight, b: Weight) -> Fraction:
         return sum(sym[i][j] * a[i] * b[j] for i in range(rank) for j in range(rank))
 
-    assert _form(theta, theta) == 2
+    if _form(theta, theta) != 2:
+        raise InternalError(f"(theta, theta) = {_form(theta, theta)} in {t}, not 2")
     dual_coxeter = 1 + sum(comarks)
 
     # fold -rho to dominance; the recorded word is reduced and gives w0
@@ -307,19 +316,23 @@ def build_root_system(t: CartanType | str, max_weyl_order: int = DEFAULT_WEYL_CA
             break
         word.append(ineg)
         x = apply_matrix(refls[ineg], x)
-    assert x == rho and len(word) == len(positive)
+    if x != rho or len(word) != len(positive):
+        raise InternalError(f"folding -rho of {t} gave {x} after {len(word)} reflections")
     w0 = reduce(_mat_mul, (refls[i] for i in word))
     sigma = []
     for i in range(rank):
         img = wneg(apply_matrix(w0, simple[i]))
         sigma.append(simple.index(img))
     sigma = tuple(sigma)
-    assert tuple(sigma[sigma[i]] for i in range(rank)) == tuple(range(rank))
+    if any(sigma[sigma[i]] != i for i in range(rank)):
+        raise InternalError(f"-w0 on the simple roots of {t} is not an involution: {sigma}")
 
     rs = RootSystem(
         cartan_type=t,
         cartan_matrix=cartan,
         cartan_inverse=cartan_inverse,
+        cartan_inverse_num=minv.num,
+        cartan_inverse_den=minv.den,
         simple_roots=tuple(simple),
         root_halfnorms=tuple(d),
         sym_form=sym,
@@ -399,7 +412,10 @@ def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int
                     elements.append(item)
                     nxt.append(item)
         queue = nxt
-    assert len(elements) == rs.weyl_order
+    if len(elements) != rs.weyl_order:
+        raise InternalError(
+            f"built {len(elements)} Weyl group elements of {rs}, not {rs.weyl_order}"
+        )
     with _MEMO_LOCK:
         _WEYL_MEMO.setdefault(key, elements)
     return _WEYL_MEMO[key]
@@ -440,17 +456,48 @@ def make_dominant(rs: RootSystem, mu: Weight) -> tuple[Weight, int]:
     return wsub(x, rs.rho), sign
 
 
-def alpha_coordinates(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of w in the simple-root basis (rational in general)."""
-    inv = rs.cartan_inverse
-    return tuple(
-        sum(inv[i][j] * w[j] for j in range(rs.rank)) for i in range(rs.rank)
-    )
+def root_lattice_depth(rs: RootSystem, lower: Weight, upper: Weight) -> int | None:
+    """Height of upper - lower as a nonnegative integer sum of simple roots, else None.
+
+    The simple-root coordinates are the rows of the scaled Cartan inverse
+    applied to the difference, each divided exactly by ``cartan_inverse_den``.
+    """
+    den = rs.cartan_inverse_den
+    diff = wsub(upper, lower)
+    total = 0
+    for row in rs.cartan_inverse_num:
+        c = sum(map(mul, row, diff))
+        if c < 0 or c % den:
+            return None
+        total += c
+    return total // den
 
 
 def in_root_lattice_below(rs: RootSystem, lower: Weight, upper: Weight) -> bool:
     """Whether upper - lower is a nonnegative integer sum of simple roots."""
-    for c in alpha_coordinates(rs, wsub(upper, lower)):
-        if c.denominator != 1 or c < 0:
-            return False
-    return True
+    return root_lattice_depth(rs, lower, upper) is not None
+
+
+def weyl_orbit(rs: RootSystem, mu: Weight) -> list[list[Weight]]:
+    """The W-orbit of a dominant weight, walked down by simple reflections.
+
+    Level d holds the orbit points first reached after d reflections, each
+    taken at a positive coordinate. For a regular mu (rho) the walk meets each
+    w in W once, and level d is {w mu : w has length d}.
+    """
+    if not is_dominant(mu):
+        raise PreconditionError(f"{tuple(mu)} is not dominant")
+    levels = [[tuple(mu)]]
+    seen = set(levels[0])
+    while True:
+        nxt = []
+        for x in levels[-1]:
+            for i, c in enumerate(x):
+                if c > 0:
+                    y = reflect(rs, i, x)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        if not nxt:
+            return levels
+        levels.append(nxt)

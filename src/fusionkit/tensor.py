@@ -1,24 +1,26 @@
 """Tensor product multiplicities, weight strings, and stability thresholds.
 
-The production path is the Racah-Speiser signed sum over the Weyl group,
-evaluated directly against the full weight diagram. A greedy
-character-subtraction decomposition is kept alongside as an independent
-oracle for tests: multiply two diagrams as multisets, then repeatedly peel
-the highest remaining weight.
+The production path for tensor multiplicities (the PRV criterion and the
+Kac-Walton backend read it) is the Racah-Speiser signed sum over the Weyl
+group, evaluated directly against the full weight diagram; it is the one
+place left that lists all of W. A greedy character-subtraction
+decomposition is kept alongside as an independent oracle for tests:
+multiply two diagrams as multisets, then repeatedly peel the highest
+remaining weight. Both read the production (Freudenthal) weight diagrams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .multiplicity import WeightDiagram, weight_diagram
 from .rootdata import (
     RootSystem,
     Weight,
-    alpha_coordinates,
     apply_matrix,
     is_dominant,
+    root_lattice_depth,
     wadd,
     weyl_elements,
     wsub,
@@ -60,7 +62,8 @@ def tensor_multiplicity(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight) -> 
         m = diagram.table.get(arg)
         if m:
             total += sign * m
-    assert total >= 0
+    if total < 0:
+        raise InternalError(f"Racah-Speiser sum {total} < 0 for V^{nu} in V^{lam} (x) V^{mu}")
     return total
 
 
@@ -96,18 +99,20 @@ def greedy_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> dict[Weight, in
     top = wadd(lam, mu)
     depths: dict[Weight, int] = {}
     for w in remaining:
-        coords = alpha_coordinates(rs, wsub(top, w))
-        assert all(c.denominator == 1 and c >= 0 for c in coords)
-        depths[w] = int(sum(coords))
+        depths[w] = root_lattice_depth(rs, w, top)
+        if depths[w] is None:
+            raise InternalError(f"{w} is a weight of V^{lam} (x) V^{mu} but not below {top}")
     terms: dict[Weight, int] = {}
     while remaining:
         head = min(remaining, key=lambda w: (depths[w], w))
         count = remaining[head]
-        assert count > 0 and is_dominant(head)
+        if count < 1 or not is_dominant(head):
+            raise InternalError(f"peeling V^{lam} (x) V^{mu} left {count} at the top weight {head}")
         terms[head] = count
         for w, m in weight_diagram(rs, head).table.items():
-            left = remaining[w] - count * m
-            assert left >= 0
+            left = remaining.get(w, 0) - count * m
+            if left < 0:
+                raise InternalError(f"peeling V^{head} from V^{lam} (x) V^{mu} left {left} at {w}")
             if left:
                 remaining[w] = left
             else:

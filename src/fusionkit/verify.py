@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
+from .errors import InternalError
 from .fusion import (
     FUSION_BACKENDS,
     fusion_coefficient,
@@ -24,7 +25,7 @@ from .fusion import (
 from .linalg import RationalMatrix
 from .multiplicity import (
     dominant_weights_up_to_dim,
-    freudenthal_diagram,
+    recursion_diagram,
     weight_diagram,
     weyl_dimension,
 )
@@ -310,7 +311,8 @@ def _lemma_kernel_duality(report: SuiteReport) -> None:
         for beta in module.basis_index:
             for e_op, f_op, alpha in directions:
                 pair = root_pairing(rs, beta, alpha)
-                assert pair.denominator == 1
+                if pair.denominator != 1:
+                    raise InternalError(f"<{beta}, {alpha}^vee> = {pair} is not an integer")
                 pair = int(pair)
                 diagram = module.diagram
                 up = weight_string(diagram, beta, alpha).up
@@ -420,15 +422,15 @@ _MULT_TYPES = ("A1", "A2", "B2", "G2")
 
 
 def verify_multiplicity_oracle(dim_cap: int = 500) -> SuiteReport:
-    """Recursion diagram == Freudenthal diagram; total == Weyl dimension."""
+    """W-recursion diagram == production (Freudenthal) diagram; total == Weyl dimension."""
     report = SuiteReport("multiplicity")
     for name in _MULT_TYPES:
         rs = build_root_system(name)
         for lam in dominant_weights_up_to_dim(rs, dim_cap):
-            recursion = weight_diagram(rs, lam)
-            oracle = freudenthal_diagram(rs, lam)
+            recursion = recursion_diagram(rs, lam)
+            production = weight_diagram(rs, lam)
             report.check(
-                dict(recursion.table) == dict(oracle.table),
+                dict(recursion.table) == dict(production.table),
                 lambda name=name, lam=lam: f"{name} lam={lam}: recursion != Freudenthal",
             )
             report.check(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -281,3 +282,14 @@ def test_optimised_interpreter_prints_the_same_bytes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_no_assert_statements_in_the_library():
+    """Invariant checks must survive python -O, so the library raises instead of asserting."""
+    package = Path(__file__).resolve().parents[1] / "src" / "fusionkit"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name} asserts on lines {found}"

@@ -1,6 +1,10 @@
 import itertools
+import sys
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import (
     CapExceededError,
@@ -17,10 +21,11 @@ from fusionkit import (
     prv_dimension,
     tensor_multiplicity,
     walton_dimension,
+    weight_diagram,
     weyl_dimension,
 )
 from fusionkit.fusion import FUSION_BACKENDS, affine_fold, check_level, theta_pairing
-from fusionkit.rootdata import wadd
+from fusionkit.rootdata import wadd, wsub
 
 
 def test_level_alcove(a1, a2):
@@ -260,3 +265,54 @@ def test_fusion_table_fz_rows_over_the_cap_are_skipped(a2):
 def test_fusion_table_unknown_backend_is_classified(a2):
     with pytest.raises(FusionkitError, match="unknown backend"):
         fusion_table(a2, 1, backend="nope")
+
+
+_MAX_PROPERTY_LEVEL = {"A1": 4, "A2": 3, "A3": 2, "B2": 2, "B3": 2, "C3": 2, "D4": 2, "G2": 2}
+
+
+@cache
+def _walton_table(name, k):
+    return fusion_table(build_root_system(name), k)
+
+
+@st.composite
+def _alcove_triples(draw):
+    """(type, k, lam, mu, nu); half the time nu - mu is a weight of V^lam (a computed cell)."""
+    name = draw(st.sampled_from(sorted(_MAX_PROPERTY_LEVEL)))
+    k = draw(st.integers(1, _MAX_PROPERTY_LEVEL[name]))
+    rs = build_root_system(name)
+    alcove = level_alcove(rs, k)
+    lam, mu = draw(st.sampled_from(alcove)), draw(st.sampled_from(alcove))
+    weights = weight_diagram(rs, lam).table
+    reached = [nu for nu in alcove if wsub(nu, mu) in weights]
+    nu = draw(st.sampled_from(reached if draw(st.booleans()) else alcove))
+    return name, k, lam, mu, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alcove_triples())
+def test_walton_rows_equal_single_cell_queries_and_kac_walton(triple):
+    name, k, lam, mu, nu = triple
+    rs = build_root_system(name)
+    cell = _walton_table(name, k).coefficient(lam, mu, nu)
+    assert cell == fusion_coefficient(rs, k, lam, mu, nu)
+    assert cell == kac_walton_coefficient(rs, k, lam, mu, nu)
+
+
+def test_e6_level_one_is_the_z3_ring_without_the_weyl_group(monkeypatch):
+    import fusionkit.rootdata
+
+    def refuse(rs):
+        raise AssertionError(f"the Weyl group of {rs} was listed")
+
+    original = fusionkit.rootdata.weyl_elements
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "fusionkit"]:
+        if getattr(module, "weyl_elements", None) is original:
+            monkeypatch.setattr(module, "weyl_elements", refuse)
+    table = fusion_table(build_root_system("E6"), 1)
+    one, w6, w1 = (0,) * 6, (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)
+    assert table.alcove == (one, w6, w1)
+    assert len(table.coeffs) == 9 and set(table.coeffs.values()) == {1}
+    assert table.coefficient(w1, w1, w6) == 1
+    assert table.coefficient(w6, w6, w1) == 1
+    assert table.coefficient(w1, w6, one) == 1

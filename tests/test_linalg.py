@@ -262,6 +262,23 @@ def test_block_matches_concatenated_lists(drawn):
             RationalMatrix.block(heights, widths, {(0, 0): RationalMatrix.zeros(heights[0] + 1, 1)})
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda cols: st.tuples(st.lists(_lists(cols=cols), max_size=4), st.just(cols))
+))
+def test_stack_numerators_is_vstack_with_rows_scaled_by_their_denominators(drawn):
+    parts, cols = drawn
+    mats = [RationalMatrix(p, cols) for p, _ in parts]
+    stacked = RationalMatrix.vstack(mats, cols=cols)
+    got = RationalMatrix.stack_numerators(mats, cols)
+    assert (got.rows, got.cols, got.den) == (stacked.rows, cols, 1)
+    assert _as_lists(got) == [[m.den * x for x in row] for m in mats for row in _as_lists(m)]
+    assert got.rank() == stacked.rank()
+    assert got.kernel() == stacked.kernel()
+    with pytest.raises(ValueError):
+        RationalMatrix.stack_numerators(mats + [RationalMatrix.zeros(1, cols + 1)], cols)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_lists(), st.data())
 def test_select_matches_reference(drawn, data):

@@ -1,9 +1,14 @@
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import (
     PreconditionError,
     build_root_system,
     freudenthal_diagram,
+    recursion_diagram,
     weight_diagram,
     weyl_dimension,
 )
@@ -47,6 +52,8 @@ def test_rejects_non_dominant(a2):
         weight_diagram(a2, (-1, 0))
     with pytest.raises(PreconditionError):
         freudenthal_diagram(a2, (0, -2))
+    with pytest.raises(PreconditionError):
+        recursion_diagram(a2, (1, -1))
 
 
 @pytest.mark.parametrize("name,lam", [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (0, 1))])
@@ -69,7 +76,25 @@ def test_recursion_matches_freudenthal(name, cap):
     lams = dominant_weights_up_to_dim(rs, cap)
     assert lams, name
     for lam in lams:
-        assert dict(weight_diagram(rs, lam).table) == dict(freudenthal_diagram(rs, lam).table)
+        assert dict(recursion_diagram(rs, lam).table) == dict(weight_diagram(rs, lam).table)
+
+
+@cache
+def _dominants_up_to_300(name):
+    return dominant_weights_up_to_dim(build_root_system(name), 300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("A3", "B3", "C3", "D4", "F4")).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(_dominants_up_to_300(name)))
+))
+def test_weight_diagram_matches_the_recursion_beyond_criterion_8(drawn):
+    # types the dim <= 500 acceptance sweep (A1, A2, B2, G2) never reaches
+    name, lam = drawn
+    rs = build_root_system(name)
+    production = weight_diagram(rs, lam)
+    assert dict(production.table) == dict(recursion_diagram(rs, lam).table)
+    assert production.dimension == weyl_dimension(rs, lam)
 
 
 def test_weyl_dimension_values(a2, g2):

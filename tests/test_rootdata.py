@@ -241,3 +241,51 @@ def test_dominant_in_orbit(a2):
         rep = dominant_in_orbit(a2, mu)
         assert all(c >= 0 for c in rep)
         assert any(apply_matrix(m, mu) == rep for m, _ in weyl_elements(a2))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_rho_orbit_walk_meets_each_weyl_element_once_at_its_length(name):
+    from fusionkit.rootdata import weyl_orbit
+
+    rs = build_root_system(name)
+    levels = weyl_orbit(rs, rs.rho)
+    assert len(levels) == len(rs.positive_roots) + 1  # the longest element has length |Phi+|
+    assert levels[-1] == [wneg(rs.rho)]
+    points = [x for level in levels for x in level]
+    assert len(points) == len(set(points)) == rs.weyl_order
+    if rs.weyl_order <= 1152:
+        by_image = {apply_matrix(mat, rs.rho): sign for mat, sign in weyl_elements(rs)}
+        for length, level in enumerate(levels):
+            assert all(by_image[x] == (-1) ** length for x in level)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2"])
+def test_orbit_walk_of_a_dominant_weight_is_its_weyl_orbit(name):
+    from fusionkit.rootdata import weyl_orbit
+
+    rs = build_root_system(name)
+    rng = random.Random(11)
+    for _ in range(10):
+        mu = tuple(rng.choice((0, 0, 1, 2)) for _ in range(rs.rank))
+        walked = [x for level in weyl_orbit(rs, mu) for x in level]
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {apply_matrix(mat, mu) for mat, _ in weyl_elements(rs)}
+    with pytest.raises(PreconditionError):
+        weyl_orbit(rs, (-1,) + (0,) * (rs.rank - 1))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_root_lattice_depth_matches_rational_simple_root_coordinates(name):
+    from fusionkit.rootdata import root_lattice_depth
+
+    rs = build_root_system(name)
+    rng = random.Random(13)
+    zero = (0,) * rs.rank
+    for _ in range(100):
+        w = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
+        coords = [sum(a * b for a, b in zip(row, w)) for row in rs.cartan_inverse]
+        expect = int(sum(coords)) if all(c.denominator == 1 and c >= 0 for c in coords) else None
+        assert root_lattice_depth(rs, zero, w) == expect
+    for alpha in rs.positive_roots:
+        assert root_lattice_depth(rs, zero, alpha) >= 1
+        assert root_lattice_depth(rs, alpha, zero) is None
