@@ -12,6 +12,7 @@ import argparse
 import inspect
 import itertools
 import json
+import os
 import sys
 
 from .cache import DiskCache, resolve_cache_dir
@@ -303,7 +304,13 @@ def main(argv=None) -> int:
         if extra and len(extra) != 3:
             raise ParseError("fusion takes either no weights or exactly lam mu nu")
         args.triple = extra
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`); the exit-time flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FusionkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -11,6 +11,7 @@ kill e_theta^{k-<nu,theta>+1} of everything).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import CapExceededError, InternalError, ParseError, PreconditionError
 from .linalg import RationalMatrix
@@ -20,6 +21,7 @@ from .repspace import (
     RepModule,
     _operator_blocks,
     cached_module,
+    check_dim_cap,
     operator_power_block,
 )
 from .rootdata import (
@@ -28,6 +30,7 @@ from .rootdata import (
     dual_weight,
     is_dominant,
     reflect,
+    simple_current,
     wadd,
     wneg,
     wscale,
@@ -170,7 +173,7 @@ def affine_fold(rs: RootSystem, x: Weight, shifted_level: int) -> tuple[Weight |
     Reflects at simple walls and at <x, theta> = shifted_level, accumulating
     the sign; wall hits return (None, 0).
     """
-    sign = 1
+    start, sign = x, 1
     for _ in range(_FOLD_LIMIT):
         i = next((i for i, c in enumerate(x) if c < 0), None)
         if i is not None:
@@ -187,7 +190,7 @@ def affine_fold(rs: RootSystem, x: Weight, shifted_level: int) -> tuple[Weight |
             sign = -sign
             continue
         return x, sign
-    raise RuntimeError("affine folding did not terminate")
+    raise InternalError(f"affine folding of {start} at shifted level {shifted_level} did not end")
 
 
 def _kac_walton_row(rs: RootSystem, k: int, lam: Weight, mu: Weight) -> dict[Weight, int]:
@@ -333,40 +336,84 @@ class FusionTable:
 FUSION_BACKENDS = ("walton", "kacwalton", "fz")
 
 
+def _current_group(rs: RootSystem, k: int, alcove: list[Weight]) -> list[dict[Weight, Weight]]:
+    """The simple currents as permutations of the level-k alcove, identity first."""
+    group = [{w: w for w in alcove}]
+    for j in (j for j, m in enumerate(rs.marks) if m == 1):
+        perm = {w: simple_current(rs, k, j, w) for w in alcove}
+        k_omega_j = tuple(k * (i == j) for i in range(rs.rank))
+        if sorted(perm.values()) != alcove or perm[alcove[0]] != k_omega_j:
+            raise InternalError(f"J_{j} of {rs} at level {k} is not an alcove permutation "
+                                f"taking 0 to {k_omega_j}")
+        group.append(perm)
+    return group
+
+
+def _orbit_rows(rs: RootSystem, k: int, alcove: list[Weight], dims: dict[Weight, int],
+                max_dim: int):
+    """The Walton row function, computing one row per unordered pair of orbits.
+
+    Each simple-current orbit is represented by its weight of least (dimension,
+    weight), and a pair's row is computed on the smaller module: with lam = J_a rep
+    and mu = J_b rep', N^(k){J_a J_b nu}_{lam,mu} = N^(k)nu_{rep,rep'} = N^(k)nu_{rep',rep}.
+    """
+    by_size = {w: n for n, w in enumerate(sorted(alcove, key=lambda w: (dims[w], w)))}
+    origin: dict[Weight, tuple[Weight, dict[Weight, Weight]]] = {}  # lam -> (rep, J), J rep = lam
+    group = _current_group(rs, k, alcove)
+    for w in by_size:
+        if w not in origin:
+            for current in group:
+                origin.setdefault(current[w], (w, current))
+    computed: dict[tuple[Weight, Weight], dict[Weight, int]] = {}
+
+    def row(lam: Weight, mu: Weight) -> dict[Weight, int]:
+        (rep_l, j_l), (rep_m, j_m) = origin[lam], origin[mu]
+        pair = tuple(sorted((rep_l, rep_m), key=by_size.get))
+        if pair not in computed:
+            computed[pair] = _walton_row(rs, k, *pair, max_dim)
+        return {j_l[j_m[nu]]: c for nu, c in computed[pair].items()}
+
+    return row
+
+
 def fusion_table(rs: RootSystem, k: int, backend: str = "walton",
                  max_dim: int = DEFAULT_DIM_CAP,
                  max_fz_dim: int = DEFAULT_FZ_CAP) -> FusionTable:
     """The full level-k table, built one (lam, mu) row at a time.
 
-    ``walton`` (production) ranks the Walton space at every weight beta of
-    V^lam with beta + mu in the alcove, on one module per row;
+    Every alcove weight is checked against ``max_dim`` first, on every
+    backend. ``walton`` (production) ranks the Walton space at every weight
+    beta of V^lam with beta + mu in the alcove, on one module per row, for one
+    row per unordered pair of simple-current orbits, and relabels the rest;
     ``kacwalton`` folds one tensor decomposition per row; ``fz`` runs the
     Frenkel-Zhu oracle on every cell, except in the rows its caps refuse,
-    which it lists in ``skipped``.
+    which it lists in ``skipped``. The two oracles use no symmetry.
     """
     alcove = level_alcove(rs, k)
-    rows = {  # (lam, mu) -> {nu: N^(k)nu_{lam,mu}}, absent nu counting as 0
-        "walton": lambda lam, mu: _walton_row(rs, k, lam, mu, max_dim),
-        "kacwalton": lambda lam, mu: _kac_walton_row(rs, k, lam, mu),
-        "fz": lambda lam, mu: {
-            nu: fusion_coefficient_via_fz(rs, k, lam, mu, nu, max_fz_dim, max_dim)
-            for nu in alcove
-        },
-    }
-    if backend not in rows:
-        raise ParseError(f"unknown backend {backend!r}; choose from {', '.join(rows)}")
+    if backend not in FUSION_BACKENDS:
+        raise ParseError(f"unknown backend {backend!r}; choose from {', '.join(FUSION_BACKENDS)}")
+    dims = {w: check_dim_cap(rs, w, max_dim) for w in alcove}
+    # row(lam, mu) -> {nu: N^(k)nu_{lam,mu}}, absent nu counting as 0
+    if backend == "walton":
+        row = _orbit_rows(rs, k, alcove, dims, max_dim)
+    elif backend == "kacwalton":
+        row = partial(_kac_walton_row, rs, k)
+    else:
+        def row(lam: Weight, mu: Weight) -> dict[Weight, int]:
+            return {nu: fusion_coefficient_via_fz(rs, k, lam, mu, nu, max_fz_dim, max_dim)
+                    for nu in alcove}
     coeffs: dict[tuple[Weight, Weight, Weight], int] = {}
     skipped = set()
     for lam in alcove:
         for mu in alcove:
             try:
-                row = rows[backend](lam, mu)
+                cells = row(lam, mu)
             except CapExceededError:
                 if backend != "fz":
                     raise
                 skipped.add((lam, mu))
                 continue
-            for nu, c in sorted(row.items()):
+            for nu, c in sorted(cells.items()):
                 if c:
                     coeffs[(lam, mu, nu)] = c
     return FusionTable(

@@ -427,6 +427,23 @@ def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
     return tuple(lam[sigma[j]] for j in range(rs.rank))
 
 
+def simple_current(rs: RootSystem, k: int, j: int, lam: Weight) -> Weight:
+    """J_j lam = k omega_j + w0^(j) w0 lam, the level-k simple current of node j.
+
+    w0 lam = -lam* is antidominant, so w0^(j), the longest element of the Weyl
+    group of the simple roots other than alpha_j, takes it to the point of its
+    orbit dominant for those roots: the fold below. Only nodes with mark 1 carry
+    a current; comark 1 is not enough (the short nodes of B_n and C_n, and one
+    node each of G2 and F4, have comark 1 and no current).
+    """
+    if rs.marks[j] != 1:
+        raise PreconditionError(f"node {j} of {rs} has mark {rs.marks[j]} and no simple current")
+    x = wneg(dual_weight(rs, lam))
+    while (i := next((i for i, c in enumerate(x) if c < 0 and i != j), None)) is not None:
+        x = reflect(rs, i, x)
+    return tuple(c + k if i == j else c for i, c in enumerate(x))
+
+
 def dominant_in_orbit(rs: RootSystem, mu: Weight) -> Weight:
     """The unique dominant weight in the W-orbit of mu (no rho shift)."""
     x = mu

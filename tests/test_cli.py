@@ -284,6 +284,27 @@ def test_optimised_interpreter_prints_the_same_bytes(tmp_path):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+def test_a_reader_closing_stdout_early_is_not_an_internal_error(tmp_path):
+    """`fusion A2 --level 6 | head -1` exits quietly instead of with status 1."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fusionkit.cli", "fusion", "A2", "--level", "6",
+         "--cache-dir", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == b"" and code != 1
+
+
 def test_no_assert_statements_in_the_library():
     """Invariant checks must survive python -O, so the library raises instead of asserting."""
     package = Path(__file__).resolve().parents[1] / "src" / "fusionkit"

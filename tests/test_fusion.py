@@ -24,8 +24,16 @@ from fusionkit import (
     weight_diagram,
     weyl_dimension,
 )
-from fusionkit.fusion import FUSION_BACKENDS, affine_fold, check_level, theta_pairing
-from fusionkit.rootdata import wadd, wsub
+import fusionkit.fusion
+from fusionkit.errors import InternalError
+from fusionkit.fusion import (
+    FUSION_BACKENDS,
+    _current_group,
+    affine_fold,
+    check_level,
+    theta_pairing,
+)
+from fusionkit.rootdata import simple_current, wadd, wsub
 
 
 def test_level_alcove(a1, a2):
@@ -157,6 +165,12 @@ def test_affine_fold_walls_and_interior(a1):
     assert (folded, sign) == ((3,), -1)
 
 
+def test_affine_fold_that_does_not_terminate_is_an_internal_error(a1, monkeypatch):
+    monkeypatch.setattr(fusionkit.fusion, "_FOLD_LIMIT", 1)
+    with pytest.raises(InternalError, match=r"\(-5,\) at shifted level 4"):
+        affine_fold(a1, (-5,), 4)  # (-5,) -> (5,) -> (3,): two folds
+
+
 def test_kac_walton_examples(a1, a2):
     assert {
         nu: kac_walton_coefficient(a1, 2, (1,), (1,), nu) for nu in level_alcove(a1, 2)
@@ -262,12 +276,21 @@ def test_fusion_table_fz_rows_over_the_cap_are_skipped(a2):
     assert fz.coeffs == {t: c for t, c in walton.coeffs.items() if t[:2] not in fz.skipped}
 
 
+@pytest.mark.parametrize("backend", FUSION_BACKENDS)
+def test_fusion_table_refuses_an_alcove_weight_over_max_dim_on_every_backend(a2, backend):
+    # the orbit representatives of A2 k=3 have dimension <= 8; (0,3) has 10 and (2,1) 15
+    with pytest.raises(CapExceededError, match="> cap 8"):
+        fusion_table(a2, 3, backend=backend, max_dim=8)
+
+
 def test_fusion_table_unknown_backend_is_classified(a2):
     with pytest.raises(FusionkitError, match="unknown backend"):
         fusion_table(a2, 1, backend="nope")
 
 
-_MAX_PROPERTY_LEVEL = {"A1": 4, "A2": 3, "A3": 2, "B2": 2, "B3": 2, "C3": 2, "D4": 2, "G2": 2}
+_MAX_PROPERTY_LEVEL = {
+    "A1": 4, "A2": 3, "A3": 2, "A4": 2, "B2": 2, "B3": 2, "C3": 2, "D4": 2, "D5": 1, "G2": 2,
+}
 
 
 @cache
@@ -309,10 +332,59 @@ def test_e6_level_one_is_the_z3_ring_without_the_weyl_group(monkeypatch):
     for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "fusionkit"]:
         if getattr(module, "weyl_elements", None) is original:
             monkeypatch.setattr(module, "weyl_elements", refuse)
-    table = fusion_table(build_root_system("E6"), 1)
+    e6 = build_root_system("E6")
+    table = fusion_table(e6, 1)
     one, w6, w1 = (0,) * 6, (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)
     assert table.alcove == (one, w6, w1)
     assert len(table.coeffs) == 9 and set(table.coeffs.values()) == {1}
     assert table.coefficient(w1, w1, w6) == 1
     assert table.coefficient(w6, w6, w1) == 1
     assert table.coefficient(w1, w6, one) == 1
+    for triple in itertools.product(table.alcove, repeat=3):
+        assert table.coefficient(*triple) == fusion_coefficient(e6, 1, *triple)
+
+
+# -- simple currents -------------------------------------------------------------
+
+@pytest.mark.parametrize("name, order", [
+    ("A1", 2), ("A2", 3), ("A3", 4), ("A4", 5), ("B2", 2), ("B3", 2), ("C2", 2), ("C3", 2),
+    ("D4", 4), ("D5", 4), ("E6", 3), ("E7", 2), ("E8", 1), ("F4", 1), ("G2", 1),
+])
+def test_simple_current_group_is_the_centre(name, order):
+    rs = build_root_system(name, max_weyl_order=10**9)
+    for k in (1, 2):
+        assert len(_current_group(rs, k, level_alcove(rs, k))) == order
+
+
+def test_a_node_of_comark_one_and_mark_two_has_no_current(b2):
+    assert b2.comarks[1] == 1 and b2.marks[1] == 2
+    with pytest.raises(PreconditionError, match="mark 2"):
+        simple_current(b2, 1, 1, (0, 0))
+
+
+def _invariance_failures(table, j_a, j_b):
+    """The triples with N^{J_a J_b nu}_{J_a lam, J_b mu} != N^nu_{lam,mu}."""
+    return [
+        (lam, mu, nu) for lam, mu, nu in itertools.product(table.alcove, repeat=3)
+        if table.coefficient(j_a[lam], j_b[mu], j_a[j_b[nu]]) != table.coefficient(lam, mu, nu)
+    ]
+
+
+@pytest.mark.parametrize("name, k", [
+    (name, k) for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4") for k in (1, 2)
+] + [("D5", 1)])
+def test_kac_walton_tables_are_simple_current_invariant(name, k):
+    rs = build_root_system(name)
+    oracle = fusion_table(rs, k, backend="kacwalton")  # uses no symmetry
+    group = _current_group(rs, k, list(oracle.alcove))
+    for j_a, j_b in itertools.product(group, repeat=2):
+        assert not _invariance_failures(oracle, j_a, j_b)
+
+
+def test_a2_reflection_is_not_a_simple_current(a2):
+    """The diagram reflection fixing node 1 (J_1 then conjugation) breaks invariance."""
+    oracle = fusion_table(a2, 2, backend="kacwalton")
+    identity, j_1, _ = _current_group(a2, 2, list(oracle.alcove))
+    reflection = {w: dual_weight(a2, j_1[w]) for w in oracle.alcove}
+    assert sorted(reflection.values()) == list(oracle.alcove) and reflection != identity
+    assert _invariance_failures(oracle, reflection, identity)
