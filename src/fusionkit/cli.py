@@ -30,7 +30,7 @@ from .fusion import (
 )
 from .multiplicity import weight_diagram
 from .repspace import DEFAULT_DIM_CAP, check_dim_cap
-from .rootdata import DEFAULT_WEYL_CAP, RootSystem, Weight, build_root_system
+from .rootdata import RootSystem, Weight, build_root_system
 from .tensor import tensor_decompose
 from .verify import CLI_SUITES
 
@@ -53,10 +53,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _root_system(args) -> RootSystem:
-    return build_root_system(args.type, max_weyl_order=args.max_weyl)
-
-
 def _check_dims(rs: RootSystem, weights, args) -> None:
     """Apply --max-dim to every input highest weight, before any cache lookup or work."""
     for w in weights:
@@ -64,7 +60,7 @@ def _check_dims(rs: RootSystem, weights, args) -> None:
 
 
 def cmd_rootdata(args) -> int:
-    rs = _root_system(args)
+    rs = build_root_system(args.type)
     doc = {
         "type": str(rs.cartan_type),
         "cartan_matrix": [list(row) for row in rs.cartan_matrix],
@@ -103,7 +99,7 @@ def _emit_weights(rs: RootSystem, counts: dict[Weight, int], args) -> None:
 
 
 def cmd_weights(args) -> int:
-    rs = _root_system(args)
+    rs = build_root_system(args.type)
     lam = parse_weight(args.weight, rs.rank)
     _check_dims(rs, [lam], args)
     cache = DiskCache(resolve_cache_dir(args.cache_dir))
@@ -116,7 +112,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    rs = _root_system(args)
+    rs = build_root_system(args.type)
     lam = parse_weight(args.left, rs.rank)
     mu = parse_weight(args.right, rs.rank)
     _check_dims(rs, [lam, mu], args)
@@ -187,7 +183,7 @@ def _emit_fusion(rs, k, rows, args) -> None:
 
 
 def cmd_fusion(args) -> int:
-    rs = _root_system(args)
+    rs = build_root_system(args.type)
     k = args.level
     triple = tuple(parse_weight(t, rs.rank) for t in args.triple)
     alcove = None if triple else level_alcove(rs, k)
@@ -244,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument("--cache-dir", default=None)
     common.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
-    common.add_argument("--max-weyl", type=int, default=DEFAULT_WEYL_CAP)
     common.add_argument("--max-fz-dim", type=int, default=DEFAULT_FZ_CAP)
 
     parser = argparse.ArgumentParser(

@@ -2,15 +2,19 @@
 
 A module is built weight space by weight space, walking down from the highest
 weight vector. Basis vectors are honest f-monomials: the label (i1, ..., is)
-means f_{i1} f_{i2} ... f_{is} applied to the highest weight vector. Inner
-products come from the contravariant form, (f_i u, w) = (u, e_i w), which lets
-each level's spanning Gram matrix be assembled, as one block matrix, from the
-level above. The form is positive definite, so one reduced row echelon form
-of that Gram matrix does the rest: its pivot columns are the basis (the
-first independent spanning monomials, in label order) and its rows are the
-lowering blocks, the coordinates of every spanning vector in that basis.
-Raising matrices are then forced by form-adjointness, so bracket relations
-hold because the matrices are the true module action.
+means f_{i1} f_{i2} ... f_{is} applied to the highest weight vector. The
+commutation relation e_i f_j = f_j e_i + delta_ij h_i gives e_i on every
+spanning vector f_j b of a weight space from the blocks of the levels above,
+and the contravariant form, (f_i u, w) = (u, e_i w), turns those into the
+spanning Gram matrix. The form is positive definite, so one reduced row
+echelon form of that Gram matrix does the rest: its pivot columns are the
+basis (the first independent spanning monomials, in label order), its rows
+are the lowering blocks, the coordinates of every spanning vector in that
+basis, and e_i at the pivot columns is the raising block. No Gram matrix is
+ever inverted, and bracket relations hold because the matrices are the true
+module action. e_theta and f_theta are nested commutators of the simple
+raisings and lowerings; f_theta, which only the lemma suite reads, is built
+on first use.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .rootdata import (
     Weight,
     root_lattice_depth,
     wadd,
+    wneg,
     wscale,
-    wsub,
 )
 
 DEFAULT_DIM_CAP = 3000
@@ -41,9 +45,9 @@ class RepModule:
 
     All maps are keyed by the source weight: ``lowering[(i, b)]`` is
     f_i : V_b -> V_{b - alpha_i}, ``raising[(i, b)]`` is e_i : V_b -> V_{b + alpha_i},
-    and the theta blocks shift by +-theta. Immutable once built (theta blocks
-    are attached by build_theta_operators before the module is shared); the
-    private dicts only memoise values derived from it.
+    and the theta blocks shift by +-theta. Immutable once built (e_theta is
+    attached by build_theta_operators before the module is shared); the
+    private dicts only memoise values derived from it, f_theta among them.
     """
 
     root_system: RootSystem
@@ -54,8 +58,6 @@ class RepModule:
     lowering: dict[tuple[int, Weight], RationalMatrix]
     raising: dict[tuple[int, Weight], RationalMatrix]
     theta_raising: dict[Weight, RationalMatrix] | None = None
-    theta_lowering: dict[Weight, RationalMatrix] | None = None
-    _gram_inv: dict[Weight, RationalMatrix] = field(default_factory=dict, repr=False)
     _op_blocks: dict[str, tuple] = field(default_factory=dict, repr=False)
     _powers: dict[tuple[str, Weight], tuple[RationalMatrix, ...]] = field(
         default_factory=dict, repr=False
@@ -68,13 +70,10 @@ class RepModule:
     def dim_at(self, beta: Weight) -> int:
         return len(self.basis_index.get(tuple(beta), ()))
 
-    def gram_inverse(self, beta: Weight) -> RationalMatrix:
-        beta = tuple(beta)
-        got = self._gram_inv.get(beta)
-        if got is None:
-            got = self.gram[beta].inverse()
-            self._gram_inv[beta] = got
-        return got
+    @property
+    def theta_lowering(self) -> dict[Weight, RationalMatrix]:
+        """f_theta blocks, built on first use once build_theta_operators has run."""
+        return _operator_blocks(self, "ftheta")[0]
 
 
 def check_dim_cap(rs: RootSystem, lam: Weight, max_dim: int) -> int:
@@ -98,7 +97,6 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     gram: dict[Weight, RationalMatrix] = {lam: RationalMatrix.identity(1)}
     lowering: dict[tuple[int, Weight], RationalMatrix] = {}
     raising: dict[tuple[int, Weight], RationalMatrix] = {}
-    gram_inv: dict[Weight, RationalMatrix] = {lam: RationalMatrix.identity(1)}
 
     for beta in order[1:]:
         ups = {i: wadd(beta, a) for i, a in enumerate(rs.simple_roots) if wadd(beta, a) in basis}
@@ -106,19 +104,22 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
             raise InternalError(f"no way down to {beta}")
         dims = [len(basis[up]) for up in ups.values()]
 
-        # spanning Gram of the f_i (basis of V_up_i), one block per (i, j):
-        # (f_i a, f_j b) = d_ij <up_i, alpha_i>(a, b) + (a, f_j e_i b)
-        blocks = {}
+        # e_i on the spanning vectors f_j b (b a basis vector of V_up_j), one block
+        # V_up_j -> V_up_i per (i, j): e_i f_j b = f_j e_i b + d_ij <up_j, alpha_i^vee> b
+        e_span = {}
         for r, (i, up_i) in enumerate(ups.items()):
-            gi = gram[up_i]
             for c, (j, up_j) in enumerate(ups.items()):
                 e_blk = raising.get((i, up_j))  # V_up_j -> V_{up_j + alpha_i} = V_{up_i + alpha_j}
                 if e_blk is not None:
-                    blocks[r, c] = gi @ (lowering[(j, wadd(up_j, rs.simple_roots[i]))] @ e_blk)
+                    e_span[r, c] = lowering[(j, wadd(up_j, rs.simple_roots[i]))] @ e_blk
                 if i == j and up_i[i]:
-                    diag = gi.scale(up_i[i])
-                    blocks[r, c] = blocks[r, c] + diag if (r, c) in blocks else diag
-        span_gram = RationalMatrix.block(dims, dims, blocks)
+                    diag = RationalMatrix.identity(dims[r]).scale(up_i[i])
+                    e_span[r, c] = e_span[r, c] + diag if (r, c) in e_span else diag
+        # spanning Gram: (f_i a, f_j b) = (a, e_i f_j b)
+        grams = [gram[up] for up in ups.values()]
+        span_gram = RationalMatrix.block(
+            dims, dims, {(r, c): grams[r] @ m for (r, c), m in e_span.items()}
+        )
         if span_gram != span_gram.transpose():
             raise InternalError(f"Gram not symmetric at {beta}")
 
@@ -135,13 +136,13 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
         span = [(i,) + label for i, up in ups.items() for label in basis[up]]
         basis[beta] = tuple(span[s] for s in chosen)
         gram[beta] = g_beta
-        gram_inv[beta] = g_beta.inverse()
+        e_rows = RationalMatrix.block(dims, dims, e_span)
         offset = 0
         for (i, up), d in zip(ups.items(), dims):
-            lowering[(i, up)] = coords.select(range(target), range(offset, offset + d))
+            part = range(offset, offset + d)
+            lowering[(i, up)] = coords.select(range(target), part)
+            raising[(i, beta)] = e_rows.select(part, chosen)
             offset += d
-            # adjoint forces the raising block: (e u, w) = (u, f w)
-            raising[(i, beta)] = gram_inv[up] @ lowering[(i, up)].transpose() @ g_beta
 
     module = RepModule(
         root_system=rs,
@@ -152,50 +153,43 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
         lowering=lowering,
         raising=raising,
     )
-    module._gram_inv.update(gram_inv)
     if module.dimension != dim:
         raise InternalError(f"built dim V^{lam} = {module.dimension} != Weyl dimension {dim}")
     return module
 
 
 def build_theta_operators(rs: RootSystem, module: RepModule) -> RepModule:
-    """Attach e_theta (nested commutator of simple raisings) and its form-adjoint f_theta."""
-    path = rs.theta_path
-
-    def simple_raise(i: int):
-        blocks = {b: mat for (j, b), mat in module.raising.items() if j == i}
-        return blocks, rs.simple_roots[i]
-
-    cur, shift = simple_raise(path[0])
-    for i in path[1:]:
-        nxt, nshift = simple_raise(i)
-        cur, shift = _block_commutator(module, nxt, nshift, cur, shift)
-    if shift != rs.theta:
-        raise InternalError(f"theta path of {rs} ends at {shift}, not theta = {rs.theta}")
-
-    theta_raising: dict[Weight, RationalMatrix] = {}
-    for src in module.basis_index:
-        tgt = wadd(src, rs.theta)
-        if tgt not in module.basis_index:
-            continue
-        blk = cur.get(src)
-        if blk is None:
-            blk = RationalMatrix.zeros(module.dim_at(tgt), module.dim_at(src))
-        theta_raising[src] = blk
+    """Attach e_theta, the nested commutator of simple raisings; f_theta is built on first use."""
+    theta_raising = _theta_blocks(module, "e")
     if module.highest != (0,) * rs.rank and all(blk.is_zero() for blk in theta_raising.values()):
         raise InternalError(f"e_theta vanished on V^{module.highest}")
-
-    theta_lowering: dict[Weight, RationalMatrix] = {}
-    for src in module.basis_index:
-        tgt = wsub(src, rs.theta)
-        if tgt not in module.basis_index:
-            continue
-        e_blk = theta_raising[tgt]  # V_tgt -> V_src
-        theta_lowering[src] = module.gram_inverse(tgt) @ e_blk.transpose() @ module.gram[src]
-
     module.theta_raising = theta_raising
-    module.theta_lowering = theta_lowering
     return module
+
+
+def _theta_blocks(module: RepModule, kind: str) -> dict[Weight, RationalMatrix]:
+    """e_theta (kind "e") or f_theta (kind "f") as nested commutators along rs.theta_path.
+
+    e_theta = [e_pn, ..., [e_p1, e_p0]]; the form-adjoint of [A, B] is [B*, A*],
+    so f_theta = [[f_p0, f_p1], ..., f_pn]. Every weight whose image is a weight
+    gets a block, zero or not.
+    """
+    rs = module.root_system
+    path = rs.theta_path
+    cur, shift = _operator_blocks(module, f"{kind}{path[0]}")
+    for i in path[1:]:
+        nxt, nshift = _operator_blocks(module, f"{kind}{i}")
+        if kind == "e":
+            cur, shift = _block_commutator(module, nxt, nshift, cur, shift)
+        else:
+            cur, shift = _block_commutator(module, cur, shift, nxt, nshift)
+    if shift != (rs.theta if kind == "e" else wneg(rs.theta)):
+        raise InternalError(f"theta path of {rs} ends at {shift}, not at +-theta = {rs.theta}")
+    return {
+        src: cur.get(src) or RationalMatrix.zeros(module.dim_at(wadd(src, shift)), len(labels))
+        for src, labels in module.basis_index.items()
+        if wadd(src, shift) in module.basis_index
+    }
 
 
 def _block_compose(module: RepModule, a_blocks, a_shift, b_blocks, b_shift):
@@ -238,11 +232,11 @@ def _operator_blocks(module: RepModule, op: str):
 def _collect_operator_blocks(module: RepModule, op: str):
     rs = module.root_system
     if op == "etheta" or op == "ftheta":
-        if module.theta_raising is None or module.theta_lowering is None:
+        if module.theta_raising is None:
             raise PreconditionError("theta operators not built for this module")
         if op == "etheta":
             return module.theta_raising, rs.theta
-        return module.theta_lowering, tuple(-x for x in rs.theta)
+        return _theta_blocks(module, "f"), wneg(rs.theta)
     kind, idx = op[0], op[1:]
     if kind not in ("e", "f") or not idx.isdigit():
         raise PreconditionError(f"unknown operator id {op!r}")
@@ -253,7 +247,7 @@ def _collect_operator_blocks(module: RepModule, op: str):
         blocks = {b: mat for (j, b), mat in module.raising.items() if j == i}
         return blocks, rs.simple_roots[i]
     blocks = {b: mat for (j, b), mat in module.lowering.items() if j == i}
-    return blocks, tuple(-x for x in rs.simple_roots[i])
+    return blocks, wneg(rs.simple_roots[i])
 
 
 def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> RationalMatrix:

@@ -21,7 +21,7 @@ from .errors import CapExceededError, InternalError, PreconditionError, Unsuppor
 
 Weight = tuple[int, ...]
 
-DEFAULT_WEYL_CAP = 2_000_000
+WEYL_ORDER_CAP = 2_000_000  # weyl_elements refuses to list a larger W
 
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -67,17 +67,12 @@ class CartanType:
         return f"{self.series}{self.rank}"
 
 
-def parse_cartan_type(text: str, max_weyl_order: int = DEFAULT_WEYL_CAP) -> CartanType:
-    """Parse strings like "A2", "B3", "G2" and enforce the Weyl-order cap."""
+def parse_cartan_type(text: str) -> CartanType:
+    """Parse strings like "A2", "B3", "G2"."""
     m = re.fullmatch(r"([A-Ga-g])([0-9]+)", text.strip())
     if not m:
         raise UnsupportedTypeError(f"cannot parse Cartan type {text!r}")
-    ct = CartanType(m.group(1).upper(), int(m.group(2)))
-    if ct.weyl_order > max_weyl_order:
-        raise CapExceededError(
-            f"{ct} has Weyl group order {ct.weyl_order} > cap {max_weyl_order}"
-        )
-    return ct
+    return CartanType(m.group(1).upper(), int(m.group(2)))
 
 
 # -- weight tuple helpers ----------------------------------------------------
@@ -225,14 +220,10 @@ _WEYL_MEMO: dict[str, list[tuple[tuple[tuple[int, ...], ...], int]]] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def build_root_system(t: CartanType | str, max_weyl_order: int = DEFAULT_WEYL_CAP) -> RootSystem:
+def build_root_system(t: CartanType | str) -> RootSystem:
     """Construct the full root datum for a supported Cartan type."""
     if isinstance(t, str):
-        t = parse_cartan_type(t, max_weyl_order)
-    elif t.weyl_order > max_weyl_order:
-        raise CapExceededError(
-            f"{t} has Weyl group order {t.weyl_order} > cap {max_weyl_order}"
-        )
+        t = parse_cartan_type(t)
     key = str(t)
     got = _ROOT_SYSTEM_MEMO.get(key)
     if got is not None:
@@ -390,11 +381,16 @@ def reflect(rs: RootSystem, i: int, lam: Weight) -> Weight:
 
 
 def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
-    """The full Weyl group as (action matrix, sign) pairs, identity first."""
+    """The full Weyl group as (action matrix, sign) pairs, identity first.
+
+    The only code that lists W, so the one place the Weyl-order cap applies.
+    """
     key = str(rs.cartan_type)
     got = _WEYL_MEMO.get(key)
     if got is not None:
         return got
+    if rs.weyl_order > WEYL_ORDER_CAP:
+        raise CapExceededError(f"{rs} has Weyl group order {rs.weyl_order} > cap {WEYL_ORDER_CAP}")
     rank = rs.rank
     refls = [_reflection_matrix(rs.cartan_matrix, i, rank) for i in range(rank)]
     ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))

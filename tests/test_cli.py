@@ -38,9 +38,17 @@ def test_rootdata_parse_failure(capsys):
     assert code == 2
 
 
-def test_rootdata_cap_exceeded(capsys):
-    code, _ = run(capsys, "rootdata", "E7")
-    assert code == 4
+def test_weyl_cap_applies_only_where_w_is_listed(capsys, tmp_path):
+    for name in ("E7", "E8"):
+        code, out = run(capsys, "rootdata", name)
+        assert code == 0 and json.loads(out)["weyl_order"] > 2_000_000
+    code, out = run(capsys, "fusion", "E7", "--level", "1", "--cache-dir", str(tmp_path))
+    assert code == 0 and len(json.loads(out)["entries"]) == 4  # the Z2 fusion ring
+    # Racah-Speiser lists W, so the oracle and the tensor product stay refused
+    w1 = "1,0,0,0,0,0,0"
+    for argv in (("fusion", "E7", "--level", "1", "--backend", "kacwalton"),
+                 ("tensor", "E7", w1, w1)):
+        assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (4, "")
 
 
 def test_weights_output(capsys, tmp_path):

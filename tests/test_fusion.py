@@ -351,7 +351,7 @@ def test_e6_level_one_is_the_z3_ring_without_the_weyl_group(monkeypatch):
     ("D4", 4), ("D5", 4), ("E6", 3), ("E7", 2), ("E8", 1), ("F4", 1), ("G2", 1),
 ])
 def test_simple_current_group_is_the_centre(name, order):
-    rs = build_root_system(name, max_weyl_order=10**9)
+    rs = build_root_system(name)
     for k in (1, 2):
         assert len(_current_group(rs, k, level_alcove(rs, k))) == order
 

@@ -100,7 +100,9 @@ def test_gram_positive_definite(name, lam):
             assert _det(leading) > 0, (beta, k)
 
 
-@pytest.mark.parametrize("name,lam", [("A1", (3,)), ("A2", (1, 1)), ("A2", (2, 0))])
+@pytest.mark.parametrize("name,lam", [
+    ("A1", (3,)), ("A2", (1, 1)), ("A2", (2, 0)), ("G2", (1, 1)), ("B2", (1, 1)), ("C3", (1, 0, 1)),
+])
 def test_contravariance_adjoint_pairs(name, lam):
     rs = build_root_system(name)
     module = cached_module(rs, lam)
@@ -134,7 +136,9 @@ def test_bracket_relations(name, lam):
                     assert bracket.is_zero()
 
 
-@pytest.mark.parametrize("name,lam", [("A1", (3,)), ("A2", (1, 1)), ("A2", (2, 1))])
+@pytest.mark.parametrize("name,lam", [
+    ("A1", (3,)), ("A2", (1, 1)), ("A2", (2, 1)), ("G2", (1, 1)), ("B2", (1, 1)), ("C3", (1, 0, 1)),
+])
 def test_ftheta_commutes_with_lowerings(name, lam):
     rs = build_root_system(name)
     module = cached_module(rs, lam)
@@ -193,6 +197,24 @@ def test_dimension_cap(a2):
         cached_module(a2, (9, 9), max_dim=100)
     with pytest.raises(PreconditionError):
         build_module(a2, (-1, 0))
+
+
+def test_modules_and_walton_tables_invert_no_matrix(monkeypatch, g2):
+    """Raising blocks come from e_i f_j = f_j e_i + d_ij h_i and f_theta is built only on
+    request, so neither a module nor a Walton table inverts a Gram matrix."""
+    from fusionkit import fusion_table, repspace
+
+    c3 = build_root_system("C3")  # the root data inverts its Cartan matrix, before the patch
+
+    def refuse(self):
+        raise AssertionError("RationalMatrix.inverse called")
+
+    monkeypatch.setattr(RationalMatrix, "inverse", refuse)
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    cached_module(g2, (2, 2))
+    cached_module(c3, (1, 0, 1))
+    fusion_table(g2, 3)
+    assert all("ftheta" not in m._op_blocks for m in repspace._MODULE_MEMO.values())
 
 
 def test_theta_augmentation_is_idempotent_surface(a1):

@@ -17,6 +17,7 @@ from fusionkit import (
     weyl_elements,
 )
 from fusionkit.rootdata import (
+    WEYL_ORDER_CAP,
     CartanType,
     apply_matrix,
     dominant_in_orbit,
@@ -44,11 +45,13 @@ def test_parse_basics():
 
 
 def test_weyl_cap_rejects_large_types():
-    with pytest.raises(CapExceededError):
-        parse_cartan_type("E7")  # |W| = 2,903,040 over the default cap
-    assert parse_cartan_type("E6").weyl_order == 51_840
-    with pytest.raises(CapExceededError):
-        build_root_system(CartanType("A", 4), max_weyl_order=100)
+    """The Weyl-order cap applies where W is listed, and only there."""
+    for name in ("E7", "E8"):  # |W| = 2,903,040 and 696,729,600, over the cap
+        rs = build_root_system(name)
+        assert rs.weyl_order > WEYL_ORDER_CAP
+        with pytest.raises(CapExceededError):
+            weyl_elements(rs)
+    assert build_root_system(CartanType("E", 6)).weyl_order == 51_840 <= WEYL_ORDER_CAP
 
 
 def test_a1_data():
