@@ -102,12 +102,7 @@ def cmd_weights(args) -> int:
     rs = build_root_system(args.type)
     lam = parse_weight(args.weight, rs.rank)
     _check_dims(rs, [lam], args)
-    cache = DiskCache(resolve_cache_dir(args.cache_dir))
-    diagram = cache.load_diagram(rs, lam)
-    if diagram is None:
-        diagram = weight_diagram(rs, lam)
-        cache.store_diagram(rs, diagram)
-    _emit_weights(rs, diagram.table, args)
+    _emit_weights(rs, weight_diagram(rs, lam).table, args)
     return 0
 
 

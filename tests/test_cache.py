@@ -1,21 +1,19 @@
+import hashlib
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusionkit import fusion_table, weight_diagram
-from fusionkit.cache import DiskCache, diagram_key, resolve_cache_dir
+from fusionkit import fusion_table
+from fusionkit.cache import DiskCache, resolve_cache_dir, table_key
 from fusionkit.cli import main
 
 
-def test_diagram_round_trip(tmp_path, a2):
-    cache = DiskCache(tmp_path)
-    original = weight_diagram(a2, (2, 1))
-    assert cache.load_diagram(a2, (2, 1)) is None
-    cache.store_diagram(a2, original)
-    loaded = cache.load_diagram(a2, (2, 1))
-    assert loaded is not None
-    assert loaded.highest == original.highest
-    assert dict(loaded.table) == dict(original.table)
+def _sign(doc):
+    canonical = json.dumps(doc["payload"], sort_keys=True).encode("utf-8")
+    doc["digest"] = hashlib.sha256(canonical).hexdigest()
 
 
 def test_table_round_trip(tmp_path, a2):
@@ -29,34 +27,41 @@ def test_table_round_trip(tmp_path, a2):
     assert loaded.coeffs == original.coeffs
 
 
-def test_payload_integers_are_decimal_strings(tmp_path, a2):
+def test_document_is_compact_plain_json_with_a_payload_digest(tmp_path, a2):
     cache = DiskCache(tmp_path)
-    cache.store_diagram(a2, weight_diagram(a2, (1, 1)))
-    path = cache._path(diagram_key("A2", (1, 1)))
-    doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
-    assert doc["payload_kind"] == "weight_diagram"
-    for key, value in doc["payload"]["entries"]:
-        assert isinstance(key, str) and isinstance(value, str)
-        int(value)
+    table = fusion_table(a2, 2)
+    cache.store_table(a2, table)
+    text = cache._path(table_key("A2", 2)).read_text()
+    assert "\n" not in text
+    doc = json.loads(text)
+    assert doc["schema_version"] == 2 and doc["key"] == table_key("A2", 2)
+    payload = doc["payload"]
+    assert payload["level"] == 2 and payload["alcove"] == [list(w) for w in table.alcove]
+    entries = {(tuple(lam), tuple(mu), tuple(nu)): c for lam, mu, nu, c in payload["entries"]}
+    assert entries == table.coeffs
+    digest = doc["digest"]
+    _sign(doc)
+    assert digest == doc["digest"]
+
+
+def _stored(tmp_path, rs, level):
+    cache = DiskCache(tmp_path)
+    cache.store_table(rs, fusion_table(rs, level))
+    return cache, cache._path(table_key(str(rs.cartan_type), level))
 
 
 def test_schema_version_mismatch_is_a_miss(tmp_path, a2):
-    cache = DiskCache(tmp_path)
-    cache.store_diagram(a2, weight_diagram(a2, (1, 0)))
-    path = cache._path(diagram_key("A2", (1, 0)))
+    cache, path = _stored(tmp_path, a2, 1)
     doc = json.loads(path.read_text())
     doc["schema_version"] = 99
     path.write_text(json.dumps(doc))
-    assert cache.load_diagram(a2, (1, 0)) is None
+    assert cache.load_table(a2, 1) is None
 
 
 def test_corrupt_entry_is_a_miss(tmp_path, a2):
-    cache = DiskCache(tmp_path)
-    cache.store_diagram(a2, weight_diagram(a2, (1, 0)))
-    path = cache._path(diagram_key("A2", (1, 0)))
+    cache, path = _stored(tmp_path, a2, 1)
     path.write_text("{ not json")
-    assert cache.load_diagram(a2, (1, 0)) is None
+    assert cache.load_table(a2, 1) is None
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
@@ -67,17 +72,30 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
     assert resolve_cache_dir(None).name == ".fusionkit-cache"
 
 
-def test_no_temp_files_left_behind(tmp_path, a2):
-    cache = DiskCache(tmp_path)
-    cache.store_diagram(a2, weight_diagram(a2, (2, 0)))
-    cache.store_table(a2, fusion_table(a2, 1))
-    leftovers = [p for p in tmp_path.iterdir() if p.suffix != ".json"]
-    assert leftovers == []
+def test_no_temp_files_left_behind(tmp_path, a2, monkeypatch):
+    table = fusion_table(a2, 1)
+    DiskCache(tmp_path / "ok").store_table(a2, table)
+    assert [p.suffix for p in (tmp_path / "ok").iterdir()] == [".json"]
+
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    # the temp file is written in full before the rename fails
+    monkeypatch.setattr(os, "replace", no_space)
+    failing = DiskCache(tmp_path / "full")
+    failing.store_table(a2, table)
+    assert list(failing.root.iterdir()) == []
+    assert failing.load_table(a2, 1) is None
 
 
 def _cached_file(tmp_path):
     (path,) = tmp_path.glob("*.json")
     return path
+
+
+def _set_first_one_to_two(payload):
+    entry = next(e for e in payload["entries"] if e[3] == 1)
+    entry[3] = 2
 
 
 @pytest.mark.parametrize(
@@ -86,16 +104,22 @@ def _cached_file(tmp_path):
         lambda p: p.pop("entries"),
         lambda p: p.pop("alcove"),
         lambda p: p.pop("level"),
-        lambda p: p.update(entries=[["1,0|1,0", "1"]]),
-        lambda p: p.update(entries=[["1,0|1,0|0,1", 1]]),
-        lambda p: p.update(entries={"1,0": "1"}),
+        lambda p: p["entries"][0].pop(2),
+        _set_first_one_to_two,
+        lambda p: p.update(entries={"1,0": 1}),
         lambda p: p.update(alcove="0,0"),
         lambda p: p.update(alcove=p["alcove"][:-1]),
-        lambda p: p.update(level=2),
-        lambda p: p.update(level="3"),
+        lambda p: p.update(level="2"),
+        lambda p: p.update(level=3),
+        lambda p: p["entries"][0].__setitem__(2, [3, 3]),
+        lambda p: p["entries"][0].__setitem__(2, [7, 7, 7]),
+        lambda p: p["entries"][0].__setitem__(3, 0),
+        lambda p: p["entries"].pop(),
+        lambda p: p["entries"][0].__setitem__(3, "1"),
     ],
     ids=["no-entries", "no-alcove", "no-level", "short-triple", "int-value", "dict-entries",
-         "string-alcove", "short-alcove", "int-level", "wrong-level"],
+         "string-alcove", "short-alcove", "string-level", "wrong-level", "outside-alcove",
+         "wrong-rank", "zero-value", "dropped-entry", "string-value"],
 )
 def test_damaged_table_is_recomputed_and_overwritten(capsys, tmp_path, a2, damage):
     argv = ["fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path)]
@@ -114,27 +138,96 @@ def test_damaged_table_is_recomputed_and_overwritten(capsys, tmp_path, a2, damag
 
 @pytest.mark.parametrize(
     "damage",
-    [
-        lambda p: p.pop("entries"),
-        lambda p: p.pop("highest"),
-        lambda p: p.update(highest="0,1"),
-        lambda p: p.update(entries=p["entries"][:-1]),
-        lambda p: p.update(entries=[[1, "1"]]),
-    ],
-    ids=["no-entries", "no-highest", "wrong-highest", "short-entries", "int-weight"],
+    [lambda p: p.update(level=3), lambda p: p.update(alcove=p["alcove"][:-1])],
+    ids=["level", "alcove"],
 )
-def test_damaged_diagram_is_a_miss(tmp_path, a2, damage):
-    cache = DiskCache(tmp_path)
-    cache.store_diagram(a2, weight_diagram(a2, (1, 0)))
-    path = _cached_file(tmp_path)
+def test_signed_document_with_another_level_or_alcove_is_a_miss(tmp_path, a2, damage):
+    """The digest proves only that the payload is intact; it must still fit the request."""
+    cache, path = _stored(tmp_path, a2, 2)
     doc = json.loads(path.read_text())
     damage(doc["payload"])
+    _sign(doc)
     path.write_text(json.dumps(doc))
-    assert cache.load_diagram(a2, (1, 0)) is None
+    assert cache.load_table(a2, 2) is None
+
+
+def test_schema_1_document_is_a_miss_and_overwritten(capsys, tmp_path, a2):
+    """A document in the schema-1 format (integers as decimal strings) is recomputed."""
+    argv = ["fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    path = _cached_file(tmp_path)
+    current = path.read_text()
+    table = fusion_table(a2, 2)
+
+    def coords(w):
+        return ",".join(str(c) for c in w)
+
+    legacy = {
+        "schema_version": 1,
+        "cartan_type": "A2",
+        "payload_kind": "fusion_table",
+        "key": table_key("A2", 2),
+        "payload": {
+            "level": "2",
+            "alcove": [coords(w) for w in table.alcove],
+            "entries": [["|".join(coords(w) for w in t), str(c)]
+                        for t, c in sorted(table.coeffs.items())],
+        },
+    }
+    path.write_text(json.dumps(legacy, sort_keys=True, indent=1))
+    assert DiskCache(tmp_path).load_table(a2, 2) is None
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert path.read_text() == current
 
 
 def test_non_object_document_is_a_miss(tmp_path, a2):
-    cache = DiskCache(tmp_path)
-    cache.store_table(a2, fusion_table(a2, 1))
-    _cached_file(tmp_path).write_text("[1, 2]")
+    cache, path = _stored(tmp_path, a2, 1)
+    path.write_text("[1, 2]")
     assert cache.load_table(a2, 1) is None
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaf_paths(child, (*path, key))]
+
+
+@pytest.fixture(scope="module")
+def stored_a2_level_2(tmp_path_factory, a2):
+    cache, path = _stored(tmp_path_factory.mktemp("fuzz"), a2, 2)
+    return cache, path, path.read_text(), fusion_table(a2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_truncated_or_mistyped_documents_are_misses(stored_a2_level_2, a2, data):
+    """Cutting the file anywhere, or replacing any one JSON leaf, never raises or
+    yields a table other than the one stored."""
+    cache, path, text, table = stored_a2_level_2
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = text[: data.draw(st.integers(0, len(text) - 1), label="offset")]
+    else:
+        doc = json.loads(text)
+        *parents, last = data.draw(st.sampled_from(_leaf_paths(doc)), label="leaf")
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(_JSON_VALUES, label="value")
+        damaged = json.dumps(doc)
+    path.write_text(damaged)
+    loaded = cache.load_table(a2, 2)
+    assert loaded is None or loaded == table

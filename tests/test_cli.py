@@ -57,10 +57,8 @@ def test_weights_output(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["type"] == "A1"
     assert [e["key"] for e in doc["entries"]] == [[-3], [-1], [1], [3]]
-    # second run reads the cache and prints the same bytes
     code2, out2 = run(capsys, "weights", "A1", "3", "--cache-dir", str(tmp_path))
     assert code2 == 0 and out2 == out
-    assert list(tmp_path.glob("*.json"))
 
 
 def test_tensor_tsv(capsys):
@@ -131,6 +129,17 @@ def test_fusion_deterministic_bytes(capsys, tmp_path):
     _, first = run(capsys, "fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path))
     _, second = run(capsys, "fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path))
     assert first == second
+
+
+def test_unusable_cache_dir_leaves_the_table_uncached(capsys, tmp_path):
+    """A --cache-dir that is a regular file cannot hold documents; the table still prints."""
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    good = run(capsys, "fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path / "cache"))
+    assert main(["fusion", "A2", "--level", "2", "--cache-dir", str(blocker)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and (0, captured.out) == good
+    assert blocker.read_text() == ""
 
 
 def test_verify_known_suites(capsys):
@@ -282,14 +291,21 @@ def test_optimised_interpreter_prints_the_same_bytes(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     outputs = []
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "fusionkit.cli", "fusion", "A2", "--level", "2",
-             "--cache-dir", str(tmp_path / f"cache{len(flags)}")],
-            capture_output=True, env=env, cwd=tmp_path, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] and outputs[0] == outputs[1]
+        cache_dir = tmp_path / f"cache{len(flags)}"
+        documents = []
+        for _ in ("cold", "warm"):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "fusionkit.cli", "fusion", "A2", "--level", "2",
+                 "--cache-dir", str(cache_dir)],
+                capture_output=True, env=env, cwd=tmp_path, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+            (path,) = cache_dir.glob("*.json")
+            documents.append(path.stat().st_ino)
+        # a miss would have replaced the document with a new file
+        assert documents[0] == documents[1]
+    assert outputs[0] and outputs.count(outputs[0]) == 4
 
 
 def test_a_reader_closing_stdout_early_is_not_an_internal_error(tmp_path):
