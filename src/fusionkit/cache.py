@@ -1,15 +1,17 @@
 """Persistent JSON cache for level-k fusion tables.
 
-One JSON document per table; the filename is the SHA-256 of the canonical
-key, so lookups never scan the directory. The payload holds plain JSON
-integers, ``{"level": k, "alcove": [...], "entries": [[lam, mu, nu, c], ...]}``,
-and the document stores the SHA-256 of its canonical encoding beside it. A
-document that cannot be parsed, whose schema or key differs from the request,
-whose payload does not hash to the stored digest, or whose level or alcove
-does not match the request counts as a miss, so the caller recomputes and
-overwrites it. Writes go through a temp file plus rename, so concurrent
-readers always see a complete document; a directory that cannot be written
-leaves the table uncached and never fails the caller.
+One document per table; the filename is the SHA-256 of the canonical key, so
+lookups never scan the directory. A document is two lines: a header,
+``{"schema_version": 3, "key": ..., "digest": ...}``, then the payload in
+plain JSON integers, ``{"level": k, "alcove": [...], "entries": [[lam, mu,
+nu, c], ...]}``, where the digest is the SHA-256 of the payload line's bytes
+as written. A document whose header differs from the request, whose payload
+line does not hash to the digest, or whose level or alcove does not match the
+request counts as a miss, so the caller recomputes and overwrites it; the
+payload is parsed only after its bytes are checked. Writes go through a temp
+file plus rename, so concurrent readers always see a complete document; a
+directory that cannot be written leaves the table uncached and never fails
+the caller.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from .fusion import FusionTable, level_alcove
 from .rootdata import RootSystem
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 ENV_VAR = "FUSIONKIT_CACHE"
 LOCAL_DIR = ".fusionkit-cache"
@@ -43,8 +45,9 @@ def table_key(cartan_type: str, level: int) -> str:
     return f"fusion_table|{cartan_type}|{level}"
 
 
-def _digest(payload) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+def _header(key: str, body: bytes) -> dict:
+    digest = hashlib.sha256(body).hexdigest()
+    return {"schema_version": SCHEMA_VERSION, "key": key, "digest": digest}
 
 
 class DiskCache:
@@ -59,12 +62,10 @@ class DiskCache:
         """The stored level table; None on a miss, a damaged document or a wrong alcove."""
         key = table_key(str(rs.cartan_type), level)
         try:
-            doc = json.loads(self._path(key).read_bytes())
-            payload = doc["payload"]
-            if (doc["schema_version"], doc["key"], doc["digest"]) != (
-                SCHEMA_VERSION, key, _digest(payload)
-            ):
+            head, body, end = self._path(key).read_bytes().split(b"\n")
+            if end or json.loads(head) != _header(key, body):
                 return None
+            payload = json.loads(body)
             alcove = level_alcove(rs, level)
             if payload["level"] != level or payload["alcove"] != [list(w) for w in alcove]:
                 return None
@@ -85,14 +86,13 @@ class DiskCache:
             "alcove": table.alcove,
             "entries": [[*triple, c] for triple, c in sorted(table.coeffs.items())],
         }
-        doc = {"schema_version": SCHEMA_VERSION, "key": key, "digest": _digest(payload),
-               "payload": payload}
+        body = json.dumps(payload).encode("utf-8")
         tmp = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(doc))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(json.dumps(_header(key, body)).encode("utf-8") + b"\n" + body + b"\n")
             os.replace(tmp, self._path(key))
             tmp = None
         except OSError:

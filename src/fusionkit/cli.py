@@ -49,6 +49,10 @@ def _coords_str(w: Weight) -> str:
     return ",".join(str(c) for c in w)
 
 
+# a placeholder value; json.dumps writes it as "\u0000", which no document here holds
+_SLOT = "\0"
+
+
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -167,14 +171,25 @@ def _emit_fusion(rs, k, rows, args) -> None:
             texts = ("-" if v is None else str(v).lower() for v in fields.values())
             print("\t".join([key, *texts]))
         return
-    doc = {
-        "type": str(rs.cartan_type),
-        "level": k,
-        "entries": [{"key": [list(w) for w in t], **fields} for t, fields in cells],
-    }
+    # json.dumps(doc, indent=2, sort_keys=True), with every entry filled into one template:
+    # the coordinates are ints, and each other field is one json.dumps of its column of
+    # scalars (ints, booleans, null), split at the ", " that separates them
+    doc = {"type": str(rs.cartan_type), "level": k, "entries": [_SLOT] if cells else []}
     if args.backend == "all":
         doc["agreement"] = all(fields["agreement"] for _, fields in cells)
-    _emit(doc)
+    head, *tail = json.dumps(doc, indent=2, sort_keys=True).split(json.dumps(_SLOT))
+    if cells:
+        names = sorted(cells[0][1])
+        shape = {"key": [[_SLOT] * rs.rank] * 3, **dict.fromkeys(names, _SLOT)}
+        template = json.dumps(shape, indent=2, sort_keys=True).replace("\n", "\n    ")
+        template = template.replace(json.dumps(_SLOT), "%s")
+        cut = sum(n < "key" for n in names)
+        columns = (json.dumps([f[n] for _, f in cells])[1:-1].split(", ") for n in names)
+        head += ",\n    ".join(
+            template % (*texts[:cut], *itertools.chain.from_iterable(t), *texts[cut:])
+            for (t, _), texts in zip(cells, zip(*columns))
+        )
+    print(head + "".join(tail))
 
 
 def cmd_fusion(args) -> int:

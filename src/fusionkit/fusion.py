@@ -160,7 +160,7 @@ def _walton_row(rs: RootSystem, k: int, lam: Weight, mu: Weight, max_dim: int) -
     _require_alcove(rs, k, mu, "mu")
     module = cached_module(rs, lam, max_dim)
     row = {}
-    for beta in module.basis_index:
+    for beta in module.diagram.table:
         nu = wadd(beta, mu)
         if in_alcove(rs, k, nu):
             row[nu] = _constrained_dimension(module, beta, _walton_constraints(rs, k, mu, nu))

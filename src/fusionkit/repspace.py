@@ -12,27 +12,26 @@ basis (the first independent spanning monomials, in label order), its rows
 are the lowering blocks, the coordinates of every spanning vector in that
 basis, and e_i at the pivot columns is the raising block. No Gram matrix is
 ever inverted, and bracket relations hold because the matrices are the true
-module action. e_theta and f_theta are nested commutators of the simple
-raisings and lowerings; f_theta, which only the lemma suite reads, is built
-on first use.
+module action.
+
+Weight spaces are built on demand: reading V_beta builds it and every unbuilt
+weight above it (its upper cone, gamma - beta in Q+), in the same (depth,
+weight) order and by the same step, so every block equals that of the complete
+module. The public maps complete the module first. e_theta and f_theta are
+nested commutators of the simple raisings and lowerings, taken one source
+weight at a time and memoised on the module.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import le
 
 from .errors import CapExceededError, InternalError, PreconditionError
 from .linalg import RationalMatrix
 from .multiplicity import WeightDiagram, weight_diagram, weyl_dimension
-from .rootdata import (
-    RootSystem,
-    Weight,
-    root_lattice_depth,
-    wadd,
-    wneg,
-    wscale,
-)
+from .rootdata import RootSystem, Weight, root_lattice_coords, wadd, wneg, wscale, wsub
 
 DEFAULT_DIM_CAP = 3000
 
@@ -45,34 +44,49 @@ class RepModule:
 
     All maps are keyed by the source weight: ``lowering[(i, b)]`` is
     f_i : V_b -> V_{b - alpha_i}, ``raising[(i, b)]`` is e_i : V_b -> V_{b + alpha_i},
-    and the theta blocks shift by +-theta. Immutable once built (e_theta is
-    attached by build_theta_operators before the module is shared); the
-    private dicts only memoise values derived from it, f_theta among them.
+    and the theta blocks shift by +-theta. ``_order`` maps the weights, in
+    build order, to the simple-root coordinates of lam - weight; the private
+    dicts grow under ``_lock`` and are never iterated while partial.
     """
 
     root_system: RootSystem
     highest: Weight
     diagram: WeightDiagram
-    basis_index: dict[Weight, tuple[MonomialLabel, ...]]
-    gram: dict[Weight, RationalMatrix]
-    lowering: dict[tuple[int, Weight], RationalMatrix]
-    raising: dict[tuple[int, Weight], RationalMatrix]
-    theta_raising: dict[Weight, RationalMatrix] | None = None
+    _order: dict[Weight, tuple[int, ...]] = field(repr=False)
+    _basis: dict[Weight, tuple[MonomialLabel, ...]] = field(default_factory=dict, repr=False)
+    _gram: dict[Weight, RationalMatrix] = field(default_factory=dict, repr=False)
+    _lowering: dict[tuple[int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
+    _raising: dict[tuple[int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
+    _theta_steps: dict[str, tuple[tuple[Weight, Weight], ...]] | None = field(default=None)
+    _theta: dict[tuple[str, int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
     _op_blocks: dict[str, tuple] = field(default_factory=dict, repr=False)
     _powers: dict[tuple[str, Weight], tuple[RationalMatrix, ...]] = field(
         default_factory=dict, repr=False
     )
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def dimension(self) -> int:
-        return sum(len(v) for v in self.basis_index.values())
+        # the diagram total, which weight_diagram checked against the Weyl dimension
+        return self.diagram.dimension
 
     def dim_at(self, beta: Weight) -> int:
-        return len(self.basis_index.get(tuple(beta), ()))
+        return self.diagram.table.get(tuple(beta), 0)
+
+    # the public maps complete the module before they are read
+    basis_index = property(lambda self: _complete(self)._basis)
+    gram = property(lambda self: _complete(self)._gram)
+    lowering = property(lambda self: _complete(self)._lowering)
+    raising = property(lambda self: _complete(self)._raising)
+
+    @property
+    def theta_raising(self) -> dict[Weight, RationalMatrix] | None:
+        """e_theta blocks once build_theta_operators has run, else None."""
+        return None if self._theta_steps is None else _operator_blocks(self, "etheta")[0]
 
     @property
     def theta_lowering(self) -> dict[Weight, RationalMatrix]:
-        """f_theta blocks, built on first use once build_theta_operators has run."""
+        """f_theta blocks, once build_theta_operators has run."""
         return _operator_blocks(self, "ftheta")[0]
 
 
@@ -85,169 +99,199 @@ def check_dim_cap(rs: RootSystem, lam: Weight, max_dim: int) -> int:
 
 
 def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) -> RepModule:
-    """Construct V^lam explicitly; rejects modules over the dimension cap."""
+    """Start V^lam at its highest weight; rejects modules over the dimension cap.
+
+    The other weight spaces are built when they are first read.
+    """
     lam = tuple(lam)
-    dim = check_dim_cap(rs, lam, max_dim)
+    check_dim_cap(rs, lam, max_dim)
     diagram = weight_diagram(rs, lam)
-    order = sorted(diagram.table, key=lambda nu: (root_lattice_depth(rs, nu, lam), nu))
-    if order[0] != lam:
-        raise InternalError(f"{order[0]} sorts above the highest weight {lam}")
-
-    basis: dict[Weight, tuple[MonomialLabel, ...]] = {lam: ((),)}
-    gram: dict[Weight, RationalMatrix] = {lam: RationalMatrix.identity(1)}
-    lowering: dict[tuple[int, Weight], RationalMatrix] = {}
-    raising: dict[tuple[int, Weight], RationalMatrix] = {}
-
-    for beta in order[1:]:
-        ups = {i: wadd(beta, a) for i, a in enumerate(rs.simple_roots) if wadd(beta, a) in basis}
-        if not ups:
-            raise InternalError(f"no way down to {beta}")
-        dims = [len(basis[up]) for up in ups.values()]
-
-        # e_i on the spanning vectors f_j b (b a basis vector of V_up_j), one block
-        # V_up_j -> V_up_i per (i, j): e_i f_j b = f_j e_i b + d_ij <up_j, alpha_i^vee> b
-        e_span = {}
-        for r, (i, up_i) in enumerate(ups.items()):
-            for c, (j, up_j) in enumerate(ups.items()):
-                e_blk = raising.get((i, up_j))  # V_up_j -> V_{up_j + alpha_i} = V_{up_i + alpha_j}
-                if e_blk is not None:
-                    e_span[r, c] = lowering[(j, wadd(up_j, rs.simple_roots[i]))] @ e_blk
-                if i == j and up_i[i]:
-                    diag = RationalMatrix.identity(dims[r]).scale(up_i[i])
-                    e_span[r, c] = e_span[r, c] + diag if (r, c) in e_span else diag
-        # spanning Gram: (f_i a, f_j b) = (a, e_i f_j b)
-        grams = [gram[up] for up in ups.values()]
-        span_gram = RationalMatrix.block(
-            dims, dims, {(r, c): grams[r] @ m for (r, c), m in e_span.items()}
-        )
-        if span_gram != span_gram.transpose():
-            raise InternalError(f"Gram not symmetric at {beta}")
-
-        # the form is positive definite on V_beta, so the relations among the spanning
-        # vectors are those among the Gram columns: the rref pivots are the first-wins
-        # basis and its rows are the coordinates of every spanning vector in that basis
-        chosen, coords = span_gram.rref()
-        target = diagram.table[beta]
-        if len(chosen) != target:
-            raise InternalError(f"rank {len(chosen)} != multiplicity {target} at {beta}")
-        g_beta = span_gram.select(chosen, chosen)
-        if not g_beta.is_positive_definite():
-            raise InternalError(f"contravariant form not positive definite at {beta}")
-        span = [(i,) + label for i, up in ups.items() for label in basis[up]]
-        basis[beta] = tuple(span[s] for s in chosen)
-        gram[beta] = g_beta
-        e_rows = RationalMatrix.block(dims, dims, e_span)
-        offset = 0
-        for (i, up), d in zip(ups.items(), dims):
-            part = range(offset, offset + d)
-            lowering[(i, up)] = coords.select(range(target), part)
-            raising[(i, beta)] = e_rows.select(part, chosen)
-            offset += d
-
-    module = RepModule(
-        root_system=rs,
-        highest=lam,
-        diagram=diagram,
-        basis_index=basis,
-        gram=gram,
-        lowering=lowering,
-        raising=raising,
-    )
-    if module.dimension != dim:
-        raise InternalError(f"built dim V^{lam} = {module.dimension} != Weyl dimension {dim}")
+    coords = {nu: root_lattice_coords(rs, nu, lam) for nu in diagram.table}
+    order = dict(sorted(coords.items(), key=lambda item: (sum(item[1]), item[0])))
+    if next(iter(order)) != lam:
+        raise InternalError(f"{next(iter(order))} sorts above the highest weight {lam}")
+    module = RepModule(root_system=rs, highest=lam, diagram=diagram, _order=order)
+    module._gram[lam] = RationalMatrix.identity(1)
+    module._basis[lam] = ((),)
     return module
+
+
+def _complete(module: RepModule) -> RepModule:
+    """Build every weight space: the upper cone of the lowest weight is the whole module."""
+    _ensure(module, next(reversed(module._order)))
+    return module
+
+
+def _ensure(module: RepModule, beta: Weight) -> None:
+    """Build V_beta and every unbuilt weight above it, in (depth, weight) order."""
+    if beta in module._basis:
+        return
+    with module._lock:
+        if beta in module._basis:
+            return
+        top = module._order[beta]
+        for gamma, coords in module._order.items():
+            if gamma not in module._basis and all(map(le, coords, top)):
+                _build_weight(module, gamma)
+        if len(module._basis) == len(module._order):
+            lam, built = module.highest, sum(map(len, module._basis.values()))
+            dim = weyl_dimension(module.root_system, lam)
+            if built != dim:
+                raise InternalError(f"built dim V^{lam} = {built} != Weyl dimension {dim}")
+
+
+def _build_weight(module: RepModule, beta: Weight) -> None:
+    """V_beta with its Gram matrix, the lowering blocks into it and the raising blocks out of it.
+
+    Every weight above beta is built; V_beta is published in ``_basis`` last.
+    """
+    rs, basis, gram = module.root_system, module._basis, module._gram
+    lowering, raising = module._lowering, module._raising
+    ups = {i: wadd(beta, a) for i, a in enumerate(rs.simple_roots)
+           if wadd(beta, a) in module.diagram.table}
+    if not ups:
+        raise InternalError(f"no way down to {beta}")
+    dims = [len(basis[up]) for up in ups.values()]
+
+    # e_i on the spanning vectors f_j b (b a basis vector of V_up_j), one block
+    # V_up_j -> V_up_i per (i, j): e_i f_j b = f_j e_i b + d_ij <up_j, alpha_i^vee> b
+    e_span = {}
+    for r, (i, up_i) in enumerate(ups.items()):
+        for c, (j, up_j) in enumerate(ups.items()):
+            e_blk = raising.get((i, up_j))  # V_up_j -> V_{up_j + alpha_i} = V_{up_i + alpha_j}
+            if e_blk is not None:
+                e_span[r, c] = lowering[(j, wadd(up_j, rs.simple_roots[i]))] @ e_blk
+            if i == j and up_i[i]:
+                diag = RationalMatrix.identity(dims[r]).scale(up_i[i])
+                e_span[r, c] = e_span[r, c] + diag if (r, c) in e_span else diag
+    # spanning Gram: (f_i a, f_j b) = (a, e_i f_j b)
+    grams = [gram[up] for up in ups.values()]
+    span_gram = RationalMatrix.block(
+        dims, dims, {(r, c): grams[r] @ m for (r, c), m in e_span.items()}
+    )
+    if span_gram != span_gram.transpose():
+        raise InternalError(f"Gram not symmetric at {beta}")
+
+    # the form is positive definite on V_beta, so the relations among the spanning
+    # vectors are those among the Gram columns: the rref pivots are the first-wins
+    # basis and its rows are the coordinates of every spanning vector in that basis
+    chosen, coords = span_gram.rref()
+    target = module.diagram.table[beta]
+    if len(chosen) != target:
+        raise InternalError(f"rank {len(chosen)} != multiplicity {target} at {beta}")
+    g_beta = span_gram.select(chosen, chosen)
+    if not g_beta.is_positive_definite():
+        raise InternalError(f"contravariant form not positive definite at {beta}")
+    span = [(i,) + label for i, up in ups.items() for label in basis[up]]
+    gram[beta] = g_beta
+    e_rows = RationalMatrix.block(dims, dims, e_span)
+    offset = 0
+    for (i, up), d in zip(ups.items(), dims):
+        part = range(offset, offset + d)
+        lowering[(i, up)] = coords.select(range(target), part)
+        raising[(i, beta)] = e_rows.select(part, chosen)
+        offset += d
+    basis[beta] = tuple(span[s] for s in chosen)
 
 
 def build_theta_operators(rs: RootSystem, module: RepModule) -> RepModule:
-    """Attach e_theta, the nested commutator of simple raisings; f_theta is built on first use."""
-    theta_raising = _theta_blocks(module, "e")
-    if module.highest != (0,) * rs.rank and all(blk.is_zero() for blk in theta_raising.values()):
-        raise InternalError(f"e_theta vanished on V^{module.highest}")
-    module.theta_raising = theta_raising
+    """Attach e_theta, the nested commutator of simple raisings along rs.theta_path.
+
+    Its blocks, and those of f_theta, are built one source weight at a time
+    when first read.
+    """
+    shifts, total = [], (0,) * rs.rank
+    for i in rs.theta_path:
+        total = wadd(total, rs.simple_roots[i])
+        shifts.append(total)
+    if total != rs.theta:
+        raise InternalError(f"theta path of {rs} ends at {total}, not at theta = {rs.theta}")
+    module._theta_steps = {  # per kind, the (level, simple) weight shifts of each nesting level
+        kind: tuple((wscale(sign, s), wscale(sign, rs.simple_roots[i]))
+                    for s, i in zip(shifts, rs.theta_path)) for kind, sign in (("e", 1), ("f", -1))}
     return module
 
 
-def _theta_blocks(module: RepModule, kind: str) -> dict[Weight, RationalMatrix]:
-    """e_theta (kind "e") or f_theta (kind "f") as nested commutators along rs.theta_path.
+def _theta_block(module: RepModule, kind: str, m: int, src: Weight) -> RationalMatrix:
+    """The block out of V_src of the m-th nested commutator along rs.theta_path.
 
-    e_theta = [e_pn, ..., [e_p1, e_p0]]; the form-adjoint of [A, B] is [B*, A*],
-    so f_theta = [[f_p0, f_p1], ..., f_pn]. Every weight whose image is a weight
-    gets a block, zero or not.
+    With path p0, ..., pn: E_0 = e_p0 and E_m = [e_pm, E_{m-1}], so E_n = e_theta;
+    the form-adjoint of [A, B] is [B*, A*], so f_theta = F_n with F_0 = f_p0 and
+    F_m = [F_{m-1}, f_pm]. A product is taken only through a weight space that exists.
     """
-    rs = module.root_system
-    path = rs.theta_path
-    cur, shift = _operator_blocks(module, f"{kind}{path[0]}")
-    for i in path[1:]:
-        nxt, nshift = _operator_blocks(module, f"{kind}{i}")
-        if kind == "e":
-            cur, shift = _block_commutator(module, nxt, nshift, cur, shift)
-        else:
-            cur, shift = _block_commutator(module, cur, shift, nxt, nshift)
-    if shift != (rs.theta if kind == "e" else wneg(rs.theta)):
-        raise InternalError(f"theta path of {rs} ends at {shift}, not at +-theta = {rs.theta}")
-    return {
-        src: cur.get(src) or RationalMatrix.zeros(module.dim_at(wadd(src, shift)), len(labels))
-        for src, labels in module.basis_index.items()
-        if wadd(src, shift) in module.basis_index
-    }
-
-
-def _block_compose(module: RepModule, a_blocks, a_shift, b_blocks, b_shift):
-    out = {}
-    for src, mb in b_blocks.items():
-        ma = a_blocks.get(wadd(src, b_shift))
-        if ma is not None:
-            out[src] = ma @ mb
-    return out
-
-
-def _block_commutator(module: RepModule, a_blocks, a_shift, b_blocks, b_shift):
-    shift = wadd(a_shift, b_shift)
-    ab = _block_compose(module, a_blocks, a_shift, b_blocks, b_shift)
-    ba = _block_compose(module, b_blocks, b_shift, a_blocks, a_shift)
-    out = {}
-    for src in set(ab) | set(ba):
-        tgt = wadd(src, shift)
-        if tgt not in module.basis_index:
-            continue
-        rows, cols = module.dim_at(tgt), module.dim_at(src)
-        first = ab.get(src)
-        second = ba.get(src)
-        if first is None:
-            first = RationalMatrix.zeros(rows, cols)
-        if second is None:
-            second = RationalMatrix.zeros(rows, cols)
-        out[src] = first - second
-    return out, shift
-
-
-def _operator_blocks(module: RepModule, op: str):
-    """Source-keyed blocks plus weight shift for an operator id like "e0" or "ftheta"."""
-    got = module._op_blocks.get(op)
-    if got is None:  # only valid ids are ever stored, so the checks below still hold
-        got = module._op_blocks[op] = _collect_operator_blocks(module, op)
+    key = (kind, m, src)
+    got = module._theta.get(key)
+    if got is not None:
+        return got
+    rs, table, steps = module.root_system, module.diagram.table, module._theta_steps[kind]
+    rows, cols = table.get(wadd(src, steps[m][0]), 0), table.get(src, 0)
+    i = rs.theta_path[m]
+    if not rows or not cols:
+        got = RationalMatrix.zeros(rows, cols)
+    elif m == 0:
+        got = _block(module, kind, i, src)
+    else:  # simple . nested - nested . simple is E_m for "e" and -F_m for "f"
+        zero = RationalMatrix.zeros(rows, cols)
+        via_nested, via_simple = wadd(src, steps[m - 1][0]), wadd(src, steps[m][1])
+        first = (_block(module, kind, i, via_nested) @ _theta_block(module, kind, m - 1, src)
+                 if via_nested in table else zero)
+        second = (_theta_block(module, kind, m - 1, via_simple) @ _block(module, kind, i, src)
+                  if via_simple in table else zero)
+        got = first - second if kind == "e" else second - first
+    # e_theta f_theta v_lam = <lam, theta> v_lam, so e_theta is nonzero out of lam - theta
+    if kind == "e" and m == len(steps) - 1 and src == wsub(module.highest, rs.theta) \
+            and cols and got.is_zero():
+        raise InternalError(f"e_theta vanished on V^{module.highest}")
+    module._theta[key] = got
     return got
 
 
-def _collect_operator_blocks(module: RepModule, op: str):
+def _parse_op(module: RepModule, op: str) -> tuple[str, int | None, Weight]:
+    """(kind, simple index or None for theta, weight shift) of an id like "e0" or "ftheta"."""
     rs = module.root_system
-    if op == "etheta" or op == "ftheta":
-        if module.theta_raising is None:
+    kind, idx = op[:1], op[1:]
+    if op in ("etheta", "ftheta"):
+        if module._theta_steps is None:
             raise PreconditionError("theta operators not built for this module")
-        if op == "etheta":
-            return module.theta_raising, rs.theta
-        return _theta_blocks(module, "f"), wneg(rs.theta)
-    kind, idx = op[0], op[1:]
-    if kind not in ("e", "f") or not idx.isdigit():
+        i, shift = None, rs.theta
+    elif kind not in ("e", "f") or not idx.isdigit():
         raise PreconditionError(f"unknown operator id {op!r}")
-    i = int(idx)
-    if i >= rs.rank:
-        raise PreconditionError(f"operator index {i} out of range for {rs}")
+    elif int(idx) >= rs.rank:
+        raise PreconditionError(f"operator index {int(idx)} out of range for {rs}")
+    else:
+        i, shift = int(idx), rs.simple_roots[int(idx)]
+    return kind, i, (shift if kind == "e" else wneg(shift))
+
+
+def _block(module: RepModule, kind: str, i: int | None, src: Weight) -> RationalMatrix:
+    """e_i or f_i (e_theta or f_theta when i is None) out of the weight space V_src.
+
+    Builds the weights the block is read from; a zero-row matrix where the image
+    is not a weight.
+    """
+    if i is None:
+        return _theta_block(module, kind, len(module._theta_steps[kind]) - 1, src)
+    step = module.root_system.simple_roots[i]
+    tgt = wadd(src, step) if kind == "e" else wsub(src, step)
+    if tgt not in module.diagram.table:
+        return RationalMatrix.zeros(0, module.diagram.table[src])
     if kind == "e":
-        blocks = {b: mat for (j, b), mat in module.raising.items() if j == i}
-        return blocks, rs.simple_roots[i]
-    blocks = {b: mat for (j, b), mat in module.lowering.items() if j == i}
-    return blocks, wneg(rs.simple_roots[i])
+        _ensure(module, src)
+        return module._raising[(i, src)]
+    _ensure(module, tgt)
+    return module._lowering[(i, src)]
+
+
+def _operator_blocks(module: RepModule, op: str):
+    """Source-keyed blocks of the complete module plus weight shift, for an id like "f0"."""
+    got = module._op_blocks.get(op)
+    if got is None:  # only valid ids are ever stored, so the checks in _parse_op still hold
+        kind, i, shift = _parse_op(module, op)
+        weights = module.basis_index
+        blocks = {src: _block(module, kind, i, src) for src in weights
+                  if wadd(src, shift) in weights}
+        got = module._op_blocks[op] = (blocks, shift)
+    return got
 
 
 def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> RationalMatrix:
@@ -258,25 +302,20 @@ def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> Ra
     new power; once the image space dies the chain ends in a zero-row matrix.
     """
     beta = tuple(beta)
-    if beta not in module.basis_index:
+    if beta not in module.diagram.table:
         raise PreconditionError(f"{beta} is not a weight of V^{module.highest}")
     if p < 0:
         raise PreconditionError("operator power must be nonnegative")
-    blocks, shift = _operator_blocks(module, op)
-    chain = module._powers.get((op, beta))
-    if chain is None:
-        chain = (RationalMatrix.identity(module.dim_at(beta)),)
-    if p >= len(chain) and chain[-1].rows:
+    chain = module._powers.get((op, beta))  # only valid ids are ever stored
+    if chain is None or (p >= len(chain) and chain[-1].rows):
         # extend a copy and publish it whole, so concurrent readers never see a partial chain
-        powers = list(chain)
+        kind, i, shift = _parse_op(module, op)
+        powers = list(chain or (RationalMatrix.identity(module.dim_at(beta)),))
         cur = wadd(beta, wscale(len(powers) - 1, shift))
         while len(powers) <= p and powers[-1].rows:
-            tgt = wadd(cur, shift)
-            blk = blocks.get(cur)
-            if blk is None:
-                blk = RationalMatrix.zeros(module.dim_at(tgt), module.dim_at(cur))
+            blk = _block(module, kind, i, cur)
             powers.append(blk if len(powers) == 1 else blk @ powers[-1])
-            cur = tgt
+            cur = wadd(cur, shift)
         chain = module._powers[(op, beta)] = tuple(powers)
     return chain[min(p, len(chain) - 1)]
 
@@ -291,12 +330,11 @@ _MODULE_LOCK = threading.Lock()
 
 
 def cached_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) -> RepModule:
-    """Shared, fully built (theta included) module; cap still applies per call."""
+    """Shared module with theta attached, built as far as it is read; cap still applies per call."""
     lam = tuple(lam)
     key = (str(rs.cartan_type), lam)
     got = _MODULE_MEMO.get(key)
     if got is not None:
-        # build_module checked that this equals the Weyl dimension
         if got.dimension > max_dim:
             raise CapExceededError(f"dim V^{lam} = {got.dimension} > cap {max_dim}")
         return got

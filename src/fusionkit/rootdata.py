@@ -469,21 +469,27 @@ def make_dominant(rs: RootSystem, mu: Weight) -> tuple[Weight, int]:
     return wsub(x, rs.rho), sign
 
 
-def root_lattice_depth(rs: RootSystem, lower: Weight, upper: Weight) -> int | None:
-    """Height of upper - lower as a nonnegative integer sum of simple roots, else None.
+def root_lattice_coords(rs: RootSystem, lower: Weight, upper: Weight) -> tuple[int, ...] | None:
+    """upper - lower in simple-root coordinates when they are nonnegative integers, else None.
 
-    The simple-root coordinates are the rows of the scaled Cartan inverse
-    applied to the difference, each divided exactly by ``cartan_inverse_den``.
+    The coordinates are the rows of the scaled Cartan inverse applied to the
+    difference, each divided exactly by ``cartan_inverse_den``.
     """
     den = rs.cartan_inverse_den
     diff = wsub(upper, lower)
-    total = 0
+    coords = []
     for row in rs.cartan_inverse_num:
         c = sum(map(mul, row, diff))
         if c < 0 or c % den:
             return None
-        total += c
-    return total // den
+        coords.append(c // den)
+    return tuple(coords)
+
+
+def root_lattice_depth(rs: RootSystem, lower: Weight, upper: Weight) -> int | None:
+    """Height of upper - lower as a nonnegative integer sum of simple roots, else None."""
+    coords = root_lattice_coords(rs, lower, upper)
+    return None if coords is None else sum(coords)
 
 
 def in_root_lattice_below(rs: RootSystem, lower: Weight, upper: Weight) -> bool:

@@ -11,9 +11,17 @@ from fusionkit.cache import DiskCache, resolve_cache_dir, table_key
 from fusionkit.cli import main
 
 
-def _sign(doc):
-    canonical = json.dumps(doc["payload"], sort_keys=True).encode("utf-8")
-    doc["digest"] = hashlib.sha256(canonical).hexdigest()
+def _read(path):
+    """[header, payload] of a stored document."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write(path, header, payload, sign=False):
+    """Write a document back; with sign, the header's digest is that of the new payload line."""
+    body = json.dumps(payload)
+    if sign:
+        header = {**header, "digest": hashlib.sha256(body.encode("utf-8")).hexdigest()}
+    path.write_text(json.dumps(header) + "\n" + body + "\n")
 
 
 def test_table_round_trip(tmp_path, a2):
@@ -31,17 +39,16 @@ def test_document_is_compact_plain_json_with_a_payload_digest(tmp_path, a2):
     cache = DiskCache(tmp_path)
     table = fusion_table(a2, 2)
     cache.store_table(a2, table)
-    text = cache._path(table_key("A2", 2)).read_text()
-    assert "\n" not in text
-    doc = json.loads(text)
-    assert doc["schema_version"] == 2 and doc["key"] == table_key("A2", 2)
-    payload = doc["payload"]
+    data = cache._path(table_key("A2", 2)).read_bytes()
+    head, body, end = data.split(b"\n")  # a header line, then the payload line, unindented
+    header, payload = json.loads(head), json.loads(body)
+    assert end == b"" and head == json.dumps(header).encode()
+    assert body == json.dumps(payload).encode()
+    assert header == {"schema_version": 3, "key": table_key("A2", 2),
+                      "digest": hashlib.sha256(body).hexdigest()}
     assert payload["level"] == 2 and payload["alcove"] == [list(w) for w in table.alcove]
     entries = {(tuple(lam), tuple(mu), tuple(nu)): c for lam, mu, nu, c in payload["entries"]}
     assert entries == table.coeffs
-    digest = doc["digest"]
-    _sign(doc)
-    assert digest == doc["digest"]
 
 
 def _stored(tmp_path, rs, level):
@@ -52,9 +59,8 @@ def _stored(tmp_path, rs, level):
 
 def test_schema_version_mismatch_is_a_miss(tmp_path, a2):
     cache, path = _stored(tmp_path, a2, 1)
-    doc = json.loads(path.read_text())
-    doc["schema_version"] = 99
-    path.write_text(json.dumps(doc))
+    header, payload = _read(path)
+    _write(path, {**header, "schema_version": 99}, payload)
     assert cache.load_table(a2, 1) is None
 
 
@@ -127,9 +133,9 @@ def test_damaged_table_is_recomputed_and_overwritten(capsys, tmp_path, a2, damag
     first = capsys.readouterr().out
     path = _cached_file(tmp_path)
     original = path.read_text()
-    doc = json.loads(original)
-    damage(doc["payload"])
-    path.write_text(json.dumps(doc))
+    header, payload = _read(path)
+    damage(payload)
+    _write(path, header, payload)
     assert DiskCache(tmp_path).load_table(a2, 2) is None
     assert main(argv) == 0
     assert capsys.readouterr().out == first
@@ -144,10 +150,9 @@ def test_damaged_table_is_recomputed_and_overwritten(capsys, tmp_path, a2, damag
 def test_signed_document_with_another_level_or_alcove_is_a_miss(tmp_path, a2, damage):
     """The digest proves only that the payload is intact; it must still fit the request."""
     cache, path = _stored(tmp_path, a2, 2)
-    doc = json.loads(path.read_text())
-    damage(doc["payload"])
-    _sign(doc)
-    path.write_text(json.dumps(doc))
+    header, payload = _read(path)
+    damage(payload)
+    _write(path, header, payload, sign=True)
     assert cache.load_table(a2, 2) is None
 
 
@@ -176,6 +181,24 @@ def test_schema_1_document_is_a_miss_and_overwritten(capsys, tmp_path, a2):
         },
     }
     path.write_text(json.dumps(legacy, sort_keys=True, indent=1))
+    assert DiskCache(tmp_path).load_table(a2, 2) is None
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert path.read_text() == current
+
+
+def test_schema_2_document_is_a_miss_and_overwritten(capsys, tmp_path, a2):
+    """A one-line schema-2 document (digest of the sorted-key re-encoding) is recomputed."""
+    argv = ["fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    path = _cached_file(tmp_path)
+    current = path.read_text()
+    header, payload = _read(path)
+    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
+    legacy = {"schema_version": 2, "key": header["key"],
+              "digest": hashlib.sha256(canonical).hexdigest(), "payload": payload}
+    path.write_text(json.dumps(legacy))
     assert DiskCache(tmp_path).load_table(a2, 2) is None
     assert main(argv) == 0
     assert capsys.readouterr().out == first
@@ -221,13 +244,13 @@ def test_truncated_or_mistyped_documents_are_misses(stored_a2_level_2, a2, data)
     if data.draw(st.booleans(), label="truncate"):
         damaged = text[: data.draw(st.integers(0, len(text) - 1), label="offset")]
     else:
-        doc = json.loads(text)
+        doc = [json.loads(line) for line in text.splitlines()]  # [header, payload]
         *parents, last = data.draw(st.sampled_from(_leaf_paths(doc)), label="leaf")
         node = doc
         for key in parents:
             node = node[key]
         node[last] = data.draw(_JSON_VALUES, label="value")
-        damaged = json.dumps(doc)
+        damaged = "".join(json.dumps(part) + "\n" for part in doc)
     path.write_text(damaged)
     loaded = cache.load_table(a2, 2)
     assert loaded is None or loaded == table

@@ -338,3 +338,23 @@ def test_no_assert_statements_in_the_library():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name} asserts on lines {found}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("A2", "--level", "2", "1,0", "0,1", "1,1"),
+    ("A1", "--level", "3", "1", "2", "1", "--backend", "kacwalton"),
+    ("A2", "--level", "2"),
+    ("C3", "--level", "1"),
+    ("A2", "--level", "2", "--backend", "all", "--max-fz-dim", "20"),
+    ("A2", "--level", "2", "2,0", "2,0", "0,0", "--backend", "all", "--max-fz-dim", "10"),
+    ("B2", "--level", "1", "1,0", "0,1", "0,1", "--backend", "all"),
+], ids=["triple", "triple-rank-1", "table", "table-rank-3", "all-table-fz-null",
+        "all-triple-fz-null", "all-triple"])
+def test_fusion_json_is_the_indented_sorted_encoding(capsys, tmp_path, argv):
+    """The fusion entries are filled into templates; the bytes are those of json.dumps."""
+    code, out = run(capsys, "fusion", *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if "all" in argv and "--max-fz-dim" in argv:
+        assert any(entry["fz"] is None for entry in doc["entries"])

@@ -15,7 +15,7 @@ from fusionkit import (
     weight_diagram,
 )
 from fusionkit.linalg import RationalMatrix
-from fusionkit.rootdata import wadd, wneg, wsub
+from fusionkit.rootdata import in_root_lattice_below, wadd, wneg, wsub
 
 
 def _block(module, op, shift, src):
@@ -214,7 +214,8 @@ def test_modules_and_walton_tables_invert_no_matrix(monkeypatch, g2):
     cached_module(g2, (2, 2))
     cached_module(c3, (1, 0, 1))
     fusion_table(g2, 3)
-    assert all("ftheta" not in m._op_blocks for m in repspace._MODULE_MEMO.values())
+    for m in repspace._MODULE_MEMO.values():
+        assert "ftheta" not in m._op_blocks and all(kind == "e" for kind, *_ in m._theta)
 
 
 def test_theta_augmentation_is_idempotent_surface(a1):
@@ -430,3 +431,124 @@ def test_basis_and_lowering_match_fraction_gram_schmidt(name, lam):
             rhs = [[rows[a][offset + b] for b in range(d)] for a in chosen]
             assert _frac_product(g, [list(r) for r in module.lowering[(i, up)].data]) == rhs
             offset += d
+
+
+# -- weight spaces built on demand ---------------------------------------------
+
+def _fresh(rs, lam):
+    return build_theta_operators(rs, build_module(rs, lam))
+
+
+def _cone(rs, weights, beta):
+    """The weights gamma with gamma - beta in Q+."""
+    return {g for g in weights if in_root_lattice_below(rs, beta, g)}
+
+
+@pytest.mark.parametrize("name, k, lam, beta, sizes", [
+    ("A2", 6, (6, 0), (1, 1), (7, 28)), ("A2", 6, (6, 0), (0, 0), (12, 28)),
+    ("G2", 4, (1, 2), (0, 1), (18, 55)), ("G2", 4, (1, 2), (0, 0), (26, 55)),
+])
+def test_a_query_builds_only_the_upper_cone_of_its_weight(monkeypatch, name, k, lam, beta, sizes):
+    """N^nu_{lam,0} with nu = beta reads V^lam at beta and above it, and nowhere else."""
+    from fusionkit import fusion_coefficient, repspace
+
+    rs = build_root_system(name)
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    fusion_coefficient(rs, k, lam, (0,) * rs.rank, beta)
+    module = repspace._MODULE_MEMO[(name, lam)]
+    weights = weight_diagram(rs, lam).table
+    cone = _cone(rs, weights, beta)
+    assert set(module._basis) == cone
+    assert (len(cone), len(weights)) == sizes
+
+
+@pytest.mark.parametrize("name, k", [("A2", 6), ("G2", 4), ("C3", 2), ("E6", 1)])
+def test_cone_built_blocks_equal_those_of_the_complete_module(name, k):
+    """Building only the cone above beta gives every block the complete module has there."""
+    from fusionkit import level_alcove
+    from fusionkit.repspace import _ensure
+
+    rs = build_root_system(name)
+    for lam in level_alcove(rs, k):
+        full = _fresh(rs, lam)
+        theta = full.theta_raising
+        for beta in full.basis_index:
+            part = _fresh(rs, lam)
+            _ensure(part, beta)
+            etheta = operator_power_block(part, "etheta", 1, beta)
+            assert set(part._basis) == _cone(rs, full.basis_index, beta)
+            for gamma, labels in part._basis.items():
+                assert labels == full.basis_index[gamma] and part._gram[gamma] == full.gram[gamma]
+            assert all(blk == full.lowering[key] for key, blk in part._lowering.items())
+            assert all(blk == full.raising[key] for key, blk in part._raising.items())
+            assert etheta == theta.get(beta, RationalMatrix.zeros(0, part.dim_at(beta)))
+
+
+def test_threads_querying_one_module_at_different_weights_match_serial_answers(monkeypatch):
+    import sys
+    import threading
+
+    from fusionkit import fusion_coefficient, level_alcove, repspace
+
+    g2 = build_root_system("G2")
+    k, lam = 4, (1, 2)
+    alcove = level_alcove(g2, k)
+    weights = weight_diagram(g2, lam).table
+    by_beta = {}
+    for mu in alcove:
+        for nu in alcove:
+            if wsub(nu, mu) in weights:
+                by_beta.setdefault(wsub(nu, mu), []).append((mu, nu))
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    serial = {cell: fusion_coefficient(g2, k, lam, *cell) for cells in by_beta.values()
+              for cell in cells}
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    shares = [[], [], [], [], [], []]
+    for n, cells in enumerate(by_beta.values()):  # each thread owns its own betas
+        shares[n % 6].extend(cells)
+    answers, errors = {}, []
+
+    def worker(cells):
+        try:
+            for cell in cells:
+                answers[cell] = fusion_coefficient(g2, k, lam, *cell)
+        except Exception as exc:  # pragma: no cover - only on regression
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(share,)) for share in shares]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and answers == serial
+
+
+def test_alcove_modules_dump_to_the_recorded_digest():
+    """Every block of the 151 alcove modules below is that of the modules built
+    before weight spaces were built on demand: the digest was taken then."""
+    import hashlib
+
+    from fusionkit import level_alcove
+
+    def blocks(maps):
+        return sorted((key, m.rows, m.cols, m.den, m.num) for key, m in maps.items())
+
+    digest = hashlib.sha256()
+    count = 0
+    for name, k in (("A1", 12), ("A2", 9), ("A3", 3), ("B2", 5), ("B3", 2), ("C3", 2),
+                    ("D5", 1), ("E6", 1), ("F4", 1), ("G2", 6)):
+        rs = build_root_system(name)
+        for lam in level_alcove(rs, k):
+            m = _fresh(rs, lam)
+            dump = (m.highest, sorted(m.basis_index.items()), blocks(m.gram), blocks(m.lowering),
+                    blocks(m.raising), blocks(m.theta_raising), blocks(m.theta_lowering))
+            digest.update(repr(dump).encode())
+            count += 1
+    assert count == 151
+    assert digest.hexdigest() == "b5280c2b6751f2ac8b979e0d8ec9bd84e415b48e9b86ceb8534343ef671e59ec"
