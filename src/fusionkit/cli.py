@@ -155,39 +155,30 @@ def _table_value(table: FusionTable, triple) -> int | None:
     return None if triple[:2] in table.skipped else table.coefficient(*triple)
 
 
-def _emit_fusion(rs, k, rows, args) -> None:
-    """Print (triple, {backend: value}) rows for the triple, table and all forms."""
-    cells = []
-    for triple, values in rows:
-        if args.backend == "all":
-            w, kw, fz = values["walton"], values["kacwalton"], values["fz"]
-            fields = {**values, "agreement": kw == w and (fz is None or fz == w)}
-        else:
-            fields = {"value": values[args.backend]}
-        cells.append((triple, fields))
+def _emit_fusion(rs, k, triples, columns, args) -> None:
+    """Print the triples with their field columns ({name: one value per triple})."""
     if args.format == "tsv":
-        for triple, fields in cells:
+        for triple, values in zip(triples, zip(*columns.values())):
             key = "|".join(_coords_str(w) for w in triple)
-            texts = ("-" if v is None else str(v).lower() for v in fields.values())
-            print("\t".join([key, *texts]))
+            print("\t".join([key, *("-" if v is None else str(v).lower() for v in values)]))
         return
     # json.dumps(doc, indent=2, sort_keys=True), with every entry filled into one template:
     # the coordinates are ints, and each other field is one json.dumps of its column of
     # scalars (ints, booleans, null), split at the ", " that separates them
-    doc = {"type": str(rs.cartan_type), "level": k, "entries": [_SLOT] if cells else []}
-    if args.backend == "all":
-        doc["agreement"] = all(fields["agreement"] for _, fields in cells)
+    doc = {"type": str(rs.cartan_type), "level": k, "entries": [_SLOT] if triples else []}
+    if "agreement" in columns:
+        doc["agreement"] = all(columns["agreement"])
     head, *tail = json.dumps(doc, indent=2, sort_keys=True).split(json.dumps(_SLOT))
-    if cells:
-        names = sorted(cells[0][1])
+    if triples:
+        names = sorted(columns)
         shape = {"key": [[_SLOT] * rs.rank] * 3, **dict.fromkeys(names, _SLOT)}
         template = json.dumps(shape, indent=2, sort_keys=True).replace("\n", "\n    ")
         template = template.replace(json.dumps(_SLOT), "%s")
         cut = sum(n < "key" for n in names)
-        columns = (json.dumps([f[n] for _, f in cells])[1:-1].split(", ") for n in names)
+        texts = zip(*(json.dumps(columns[n])[1:-1].split(", ") for n in names))
         head += ",\n    ".join(
-            template % (*texts[:cut], *itertools.chain.from_iterable(t), *texts[cut:])
-            for (t, _), texts in zip(cells, zip(*columns))
+            template % (*t[:cut], *itertools.chain.from_iterable(triple), *t[cut:])
+            for triple, t in zip(triples, texts)
         )
     print(head + "".join(tail))
 
@@ -200,18 +191,25 @@ def cmd_fusion(args) -> int:
     _check_dims(rs, triple or alcove, args)
     backends = FUSION_BACKENDS if args.backend == "all" else (args.backend,)
     if triple:
-        rows = [(triple, {b: _triple_value(rs, k, triple, b, args) for b in backends})]
+        triples = [triple]
+        values = {b: [_triple_value(rs, k, triple, b, args)] for b in backends}
     else:
         if args.backend == "fz":
             for lam, mu in itertools.product(alcove, repeat=2):
                 check_fz_cap(rs, lam, mu, args.max_fz_dim)
         tables = {b: _table(rs, k, b, args) for b in backends}
         if args.backend == "all":
-            keys = itertools.product(alcove, repeat=3)
-        else:
-            keys = sorted(tables[args.backend].coeffs)
-        rows = [(t, {b: _table_value(tables[b], t) for b in backends}) for t in keys]
-    _emit_fusion(rs, k, rows, args)
+            triples = list(itertools.product(alcove, repeat=3))
+            values = {b: [_table_value(tables[b], t) for t in triples] for b in backends}
+        else:  # the nonzero cells, read straight off the table
+            cells = sorted(tables[args.backend].coeffs.items())
+            triples, values = [t for t, _ in cells], {args.backend: [c for _, c in cells]}
+    if args.backend == "all":
+        columns = {**values, "agreement": [kw == w and (fz is None or fz == w)
+                                          for w, kw, fz in zip(*values.values())]}
+    else:
+        columns = {"value": values[args.backend]}
+    _emit_fusion(rs, k, triples, columns, args)
     return 0
 
 

@@ -11,7 +11,8 @@ kill e_theta^{k-<nu,theta>+1} of everything).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import permutations
 
 from .errors import CapExceededError, InternalError, ParseError, PreconditionError
 from .linalg import RationalMatrix
@@ -30,6 +31,7 @@ from .rootdata import (
     dual_weight,
     is_dominant,
     reflect,
+    root_lattice_depth,
     simple_current,
     wadd,
     wneg,
@@ -138,16 +140,47 @@ def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weig
 
 def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
                        max_dim: int = DEFAULT_DIM_CAP) -> int:
-    """N^(k)nu_{lam,mu}, computed on the Walton space with beta = nu - mu."""
+    """N^(k)nu_{lam,mu}, computed on the Walton space of the cheapest equivalent triple.
+
+    Among the triples (a, b, t) with N^(k)t_{a,b} = N^(k)nu_{lam,mu}, the one of least
+    (dim V^a, depth of t - b below a, a, b) is ranked at beta = t - b; its module is
+    never larger than V^lam. ``walton_dimension`` is the symmetry-free form.
+    """
     check_level(k)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     _require_alcove(rs, k, lam, "lam")
     _require_alcove(rs, k, mu, "mu")
     _require_alcove(rs, k, nu, "nu")
-    beta = wsub(nu, mu)
-    if beta not in weight_diagram(rs, lam).table:
+    if wsub(nu, mu) not in weight_diagram(rs, lam).table:
         return 0
-    return walton_dimension(rs, k, lam, beta, mu, max_dim)
+    check_dim_cap(rs, lam, max_dim)
+    keyed, dim = [], cache(partial(weyl_dimension, rs))
+    for a, b, t in _equivalent_triples(rs, k, lam, mu, nu):
+        depth = root_lattice_depth(rs, wsub(t, b), a)
+        if depth is None:  # t - b is not below a, so not a weight of V^a
+            return 0
+        keyed.append((dim(a), depth, a, b, t))
+    *_, a, b, t = min(keyed)
+    beta = wsub(t, b)
+    if beta not in weight_diagram(rs, a).table:
+        return 0
+    return walton_dimension(rs, k, a, beta, b, max_dim)
+
+
+def _equivalent_triples(rs: RootSystem, k: int, lam: Weight, mu: Weight,
+                        nu: Weight) -> set[tuple[Weight, Weight, Weight]]:
+    """Every (a, b, t) with N^(k)t_{a,b} = N^(k)nu_{lam,mu} by S3 and the simple currents.
+
+    N^nu_{lam,mu} = N_{lam,mu,nu*} is symmetric in its three weights, and
+    N^{J_x J_y t}_{J_x a, J_y b} = N^t_{a,b} for currents J_x, J_y (or the identity).
+    """
+    nodes = [j for j, m in enumerate(rs.marks) if m == 1]
+    orbit = cache(lambda w: (w, *(simple_current(rs, k, j, w) for j in nodes)))  # [x] is J_x w
+    forms = [(a, b, dual_weight(rs, c))
+             for a, b, c in permutations((lam, mu, dual_weight(rs, nu)))]
+    xs = range(len(nodes) + 1)
+    return {(orbit(a)[x], orbit(b)[y], orbit(orbit(t)[y])[x])
+            for a, b, t in forms for x in xs for y in xs}
 
 
 def _walton_row(rs: RootSystem, k: int, lam: Weight, mu: Weight, max_dim: int) -> dict[Weight, int]:

@@ -312,6 +312,12 @@ def _alcove_triples(draw, levels=_MAX_PROPERTY_LEVEL):
     return name, k, lam, mu, nu
 
 
+def _unrouted(rs, k, lam, mu, nu):
+    """N^nu_{lam,mu} on the Walton space of V^lam itself, with no symmetry: 0 off its weights."""
+    beta = wsub(nu, mu)
+    return walton_dimension(rs, k, lam, beta, mu) if beta in weight_diagram(rs, lam).table else 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(_alcove_triples())
 def test_walton_rows_equal_single_cell_queries_and_kac_walton(triple):
@@ -319,13 +325,68 @@ def test_walton_rows_equal_single_cell_queries_and_kac_walton(triple):
     rs = build_root_system(name)
     cell = _walton_table(name, k).coefficient(lam, mu, nu)
     assert cell == fusion_coefficient(rs, k, lam, mu, nu)
+    assert cell == _unrouted(rs, k, lam, mu, nu)
     assert cell == kac_walton_coefficient(rs, k, lam, mu, nu)
+
+
+# -- point queries routed to the cheapest equivalent Walton space ------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_alcove_triples({
+    "A2": 3, "A3": 2, "A4": 2, "B2": 3, "B3": 2, "C3": 2, "D4": 2, "D5": 1, "G2": 3,
+}))
+def test_routed_queries_equal_the_unrouted_walton_space_and_kac_walton(triple):
+    name, k, lam, mu, nu = triple
+    rs = build_root_system(name)
+    got = fusion_coefficient(rs, k, lam, mu, nu)
+    assert got == _unrouted(rs, k, lam, mu, nu)
+    assert got == kac_walton_coefficient(rs, k, lam, mu, nu)
+
+
+@pytest.mark.parametrize("name, k", [("A2", 3), ("A3", 2), ("B2", 3), ("G2", 3), ("E6", 1)])
+def test_every_routed_cell_equals_the_unrouted_walton_space(name, k):
+    """Exhaustive; without the duals in the S3 forms, 152 cells of A2 k=3 and 108 of A3 k=2 differ."""
+    rs = build_root_system(name)
+    for triple in itertools.product(level_alcove(rs, k), repeat=3):
+        assert fusion_coefficient(rs, k, *triple) == _unrouted(rs, k, *triple), triple
+
+
+@pytest.mark.parametrize("name, k, triple, value, built", [
+    # N^{(0,1,1)}_{(1,1,1),(1,1,0)} is ranked on V^(1,0,1), where V^(1,1,1) would build 15
+    ("A3", 3, ((1, 1, 1), (1, 1, 0), (0, 1, 1)), 2, {(1, 0, 1): 7}),
+    # G2 has no currents; commutativity and the duals pick V^(1,2) over V^(1,4) (68 built)
+    ("G2", 6, ((1, 4), (1, 3), (1, 2)), 4, {(1, 2): 18}),
+])
+def test_a_point_query_builds_only_the_chosen_module(monkeypatch, name, k, triple, value, built):
+    from fusionkit import repspace
+
+    rs = build_root_system(name)
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    read = []
+    monkeypatch.setattr(fusionkit.fusion, "weight_diagram",
+                        lambda rs, lam: read.append(lam) or weight_diagram(rs, lam))
+    assert fusion_coefficient(rs, k, *triple) == value
+    assert {lam: len(m._basis) for (_, lam), m in repspace._MODULE_MEMO.items()} == built
+    assert set(read) == {triple[0], *built}  # only lam's and the chosen module's diagrams
+
+
+def test_point_query_caps_apply_to_lam_as_before_routing(a2):
+    """CapExceededError exactly when nu - mu is a weight of V^lam and dim V^lam is over the cap."""
+    alcove, cap = level_alcove(a2, 3), 8
+    for lam, mu, nu in itertools.product(alcove, repeat=3):
+        if wsub(nu, mu) in weight_diagram(a2, lam).table and weyl_dimension(a2, lam) > cap:
+            with pytest.raises(CapExceededError, match=f"> cap {cap}"):
+                fusion_coefficient(a2, 3, lam, mu, nu, max_dim=cap)
+        else:
+            assert fusion_coefficient(a2, 3, lam, mu, nu, max_dim=cap) == \
+                fusion_coefficient(a2, 3, lam, mu, nu)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_alcove_triples({"E6": 2, "F4": 2, "E7": 1}))
 def test_cells_on_fresh_modules_equal_table_cells_for_exceptional_types(triple):
-    """A single query builds V^lam only as far as it reads it; the table builds all of it.
+    """A single query builds the module it reads only as far as it reads it; the table builds
+    every module in full.
     The Kac-Walton oracle lists W, so it cannot check E7 in reasonable time; this can."""
     from unittest import mock
 

@@ -190,6 +190,20 @@ def test_power_kernel_validation(a2):
         power_kernel(module, "e7", 1, (1, 0))
 
 
+def test_parsed_operator_ids_are_memoised_and_bad_ids_raise_every_time(a2):
+    module = build_module(a2, (1, 1))  # no theta operators attached
+    for _ in range(2):
+        for op in ("q0", "e7", "e", "etheta"):
+            with pytest.raises(PreconditionError):
+                operator_power_block(module, op, 2, (1, 1))
+    assert module._ops == {}
+    assert operator_power_block(module, "f0", 2, (1, 1)) == operator_power_block(module, "f0", 2, (1, 1))
+    assert module._ops == {"f0": ("f", 0, wneg(a2.simple_roots[0]))}
+    build_theta_operators(a2, module)
+    operator_power_block(module, "etheta", 1, (-1, -1))
+    assert module._ops["etheta"] == ("e", None, a2.theta)
+
+
 def test_dimension_cap(a2):
     with pytest.raises(CapExceededError):
         build_module(a2, (3, 3), max_dim=10)
@@ -449,12 +463,12 @@ def _cone(rs, weights, beta):
     ("G2", 4, (1, 2), (0, 1), (18, 55)), ("G2", 4, (1, 2), (0, 0), (26, 55)),
 ])
 def test_a_query_builds_only_the_upper_cone_of_its_weight(monkeypatch, name, k, lam, beta, sizes):
-    """N^nu_{lam,0} with nu = beta reads V^lam at beta and above it, and nowhere else."""
-    from fusionkit import fusion_coefficient, repspace
+    """The Walton space of V^lam at beta (mu = 0) reads V^lam at beta and above it, and nowhere else."""
+    from fusionkit import repspace, walton_dimension
 
     rs = build_root_system(name)
     monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
-    fusion_coefficient(rs, k, lam, (0,) * rs.rank, beta)
+    walton_dimension(rs, k, lam, beta, (0,) * rs.rank)
     module = repspace._MODULE_MEMO[(name, lam)]
     weights = weight_diagram(rs, lam).table
     cone = _cone(rs, weights, beta)
@@ -488,7 +502,7 @@ def test_threads_querying_one_module_at_different_weights_match_serial_answers(m
     import sys
     import threading
 
-    from fusionkit import fusion_coefficient, level_alcove, repspace
+    from fusionkit import level_alcove, repspace, walton_dimension
 
     g2 = build_root_system("G2")
     k, lam = 4, (1, 2)
@@ -500,8 +514,8 @@ def test_threads_querying_one_module_at_different_weights_match_serial_answers(m
             if wsub(nu, mu) in weights:
                 by_beta.setdefault(wsub(nu, mu), []).append((mu, nu))
     monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
-    serial = {cell: fusion_coefficient(g2, k, lam, *cell) for cells in by_beta.values()
-              for cell in cells}
+    serial = {(mu, nu): walton_dimension(g2, k, lam, wsub(nu, mu), mu)
+              for cells in by_beta.values() for mu, nu in cells}
     monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
     shares = [[], [], [], [], [], []]
     for n, cells in enumerate(by_beta.values()):  # each thread owns its own betas
@@ -510,8 +524,8 @@ def test_threads_querying_one_module_at_different_weights_match_serial_answers(m
 
     def worker(cells):
         try:
-            for cell in cells:
-                answers[cell] = fusion_coefficient(g2, k, lam, *cell)
+            for mu, nu in cells:
+                answers[mu, nu] = walton_dimension(g2, k, lam, wsub(nu, mu), mu)
         except Exception as exc:  # pragma: no cover - only on regression
             errors.append(exc)
 
