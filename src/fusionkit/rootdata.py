@@ -14,7 +14,6 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import add, mul, neg, sub
 
 from .errors import CapExceededError, InternalError, PreconditionError, UnsupportedTypeError
@@ -101,11 +100,13 @@ def apply_matrix(m: tuple[tuple[int, ...], ...], w: Weight) -> Weight:
     return tuple(sum(row[c] * w[c] for c in range(len(w))) for row in m)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+def _reflect_rows(simple, i: int, m):
+    """r_i m: row j of m loses simple[i][j] times row i; the other rows are shared with m."""
+    rows, top = list(m), m[i]
+    for j, c in enumerate(simple[i]):
+        if c:
+            rows[j] = tuple([x - c * y for x, y in zip(m[j], top)])
+    return tuple(rows)
 
 
 # -- Dynkin diagram data -----------------------------------------------------
@@ -174,13 +175,6 @@ class RootSystem:
 
     def __str__(self) -> str:
         return str(self.cartan_type)
-
-
-def _reflection_matrix(cartan_matrix, i: int, rank: int):
-    return tuple(
-        tuple((1 if j == m else 0) - (cartan_matrix[j][i] if m == i else 0) for m in range(rank))
-        for j in range(rank)
-    )
 
 
 def _close_positive_roots(simple: list[Weight], rank: int):
@@ -298,7 +292,6 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     dual_coxeter = 1 + sum(comarks)
 
     # fold -rho to dominance; the recorded word is reduced and gives w0
-    refls = [_reflection_matrix(cartan, i, rank) for i in range(rank)]
     x = wneg(rho)
     word: list[int] = []
     while True:
@@ -306,10 +299,13 @@ def build_root_system(t: CartanType | str) -> RootSystem:
         if ineg is None:
             break
         word.append(ineg)
-        x = apply_matrix(refls[ineg], x)
+        c = x[ineg]
+        x = tuple(a - c * b for a, b in zip(x, simple[ineg]))
     if x != rho or len(word) != len(positive):
         raise InternalError(f"folding -rho of {t} gave {x} after {len(word)} reflections")
-    w0 = reduce(_mat_mul, (refls[i] for i in word))
+    w0 = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
+    for i in reversed(word):
+        w0 = _reflect_rows(simple, i, w0)
     sigma = []
     for i in range(rank):
         img = wneg(apply_matrix(w0, simple[i]))
@@ -391,8 +387,7 @@ def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int
         return got
     if rs.weyl_order > WEYL_ORDER_CAP:
         raise CapExceededError(f"{rs} has Weyl group order {rs.weyl_order} > cap {WEYL_ORDER_CAP}")
-    rank = rs.rank
-    refls = [_reflection_matrix(rs.cartan_matrix, i, rank) for i in range(rank)]
+    rank, simple = rs.rank, rs.simple_roots
     ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
     elements = [(ident, 1)]
     seen = {ident}
@@ -400,8 +395,8 @@ def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int
     while queue:
         nxt = []
         for mat, sign in queue:
-            for r in refls:
-                cand = _mat_mul(r, mat)
+            for i in range(rank):
+                cand = _reflect_rows(simple, i, mat)
                 if cand not in seen:
                     seen.add(cand)
                     item = (cand, -sign)

@@ -2,20 +2,25 @@
 
 The production path for tensor multiplicities (the PRV criterion and the
 Kac-Walton backend read it) is the Racah-Speiser signed sum over the Weyl
-group, evaluated directly against the full weight diagram; it is the one
-place left that lists all of W. A greedy character-subtraction
-decomposition is kept alongside as an independent oracle for tests:
-multiply two diagrams as multisets, then repeatedly peel the highest
-remaining weight. Both read the production (Freudenthal) weight diagrams.
+group, evaluated directly against the full weight diagram. Weight
+multiplicities are W-invariant and eps(w^-1) = eps(w), so the sum runs over
+the orbit of mu+rho, memoised in W's order per (type, mu+rho), and reads its
+signs from ``weyl_elements``, still the only code that lists W. A greedy
+character-subtraction decomposition is kept alongside as an independent
+oracle for tests: multiply two diagrams as multisets, then repeatedly peel
+the highest remaining weight. Both read the production (Freudenthal) weight
+diagrams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import InternalError, PreconditionError
 from .multiplicity import WeightDiagram, weight_diagram
 from .rootdata import (
+    _MEMO_LOCK,
     RootSystem,
     Weight,
     apply_matrix,
@@ -50,16 +55,29 @@ def _require_dominant(*weights: Weight) -> None:
             raise PreconditionError(f"{tuple(w)} is not dominant")
 
 
+_ORBIT_MEMO: dict[tuple[str, Weight], tuple[Weight, ...]] = {}
+
+
+def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> tuple[Weight, ...]:
+    """w(mu_rho) for each w of ``group`` (the listed W of rs), in its order."""
+    key = (str(rs.cartan_type), mu_rho)
+    got = _ORBIT_MEMO.get(key)
+    if got is None:
+        points = tuple(apply_matrix(mat, mu_rho) for mat, _ in group)
+        with _MEMO_LOCK:
+            got = _ORBIT_MEMO.setdefault(key, points)
+    return got
+
+
 def tensor_multiplicity(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight) -> int:
-    """Number of copies of V^nu inside V^lam (x) V^mu."""
+    """Copies of V^nu in V^lam (x) V^mu: sum_w eps(w) m_lam(nu+rho - w(mu+rho))."""
     _require_dominant(lam, mu, nu)
-    diagram = weight_diagram(rs, lam)
-    mu_rho = wadd(mu, rs.rho)
+    group = weyl_elements(rs)
+    get = weight_diagram(rs, lam).table.get
     nu_rho = wadd(nu, rs.rho)
     total = 0
-    for mat, sign in weyl_elements(rs):
-        arg = wsub(apply_matrix(mat, nu_rho), mu_rho)
-        m = diagram.table.get(arg)
+    for (_, sign), point in zip(group, _orbit_points(rs, group, wadd(mu, rs.rho))):
+        m = get(tuple(map(sub, nu_rho, point)))
         if m:
             total += sign * m
     if total < 0:

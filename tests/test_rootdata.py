@@ -195,6 +195,54 @@ def test_weyl_group_structure(name):
             assert form(rs, apply_matrix(mat, x), apply_matrix(mat, y)) == form(rs, x, y)
 
 
+def _dense_reflections(rs):
+    """r_i as dense matrices on fundamental-weight coordinates: x -> x - x_i alpha_i."""
+    n, cartan = rs.rank, rs.cartan_matrix
+    return [
+        tuple(
+            tuple(int(j == m) - (cartan[j][i] if m == i else 0) for m in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    ]
+
+
+def _dense_weyl_elements(rs):
+    """W by the breadth-first walk of ``weyl_elements``, each step a dense product r_i @ w."""
+    refls = _dense_reflections(rs)
+    ident = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    elements, seen, queue = [(ident, 1)], {ident}, [(ident, 1)]
+    while queue:
+        nxt = []
+        for mat, sign in queue:
+            for r in refls:
+                cand = _mul(r, mat)
+                if cand not in seen:
+                    seen.add(cand)
+                    elements.append((cand, -sign))
+                    nxt.append((cand, -sign))
+        queue = nxt
+    return elements
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
+)
+def test_weyl_elements_listed_as_by_dense_products(name):
+    rs = build_root_system(name)
+    assert weyl_elements(rs) == _dense_weyl_elements(rs)  # same elements, order and signs
+
+
+@pytest.mark.parametrize("name", TYPES + ["D5", "E6", "E7", "E8"])
+def test_w0_matrix_is_the_dense_product_of_its_word(name):
+    rs = build_root_system(name)
+    refls = _dense_reflections(rs)
+    w0 = refls[rs.w0_word[0]]
+    for i in rs.w0_word[1:]:
+        w0 = _mul(w0, refls[i])
+    assert rs.w0_matrix == w0
+
+
 def test_dual_weight_examples(a1, a2):
     assert dual_weight(a2, (1, 0)) == (0, 1)
     assert dual_weight(a1, (7,)) == (7,)

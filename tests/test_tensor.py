@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from fusionkit import (
     weight_string,
     weyl_dimension,
 )
-from fusionkit.rootdata import is_dominant, root_pairing, wadd
+from fusionkit.rootdata import apply_matrix, is_dominant, root_pairing, wadd, weyl_elements, wsub
 
 
 def test_sl2_clebsch_gordan(a1):
@@ -60,6 +61,91 @@ def test_dimensions_commutativity_and_greedy_oracle(name, pairs):
         assert terms == greedy_decompose(rs, lam, mu)
         total = sum(m * weyl_dimension(rs, nu) for nu, m in terms.items())
         assert total == weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
+
+
+def _textbook_racah_speiser(rs, lam, mu, nu):
+    """sum_w eps(w) m_lam(w(nu+rho) - (mu+rho)), each w applied to nu+rho."""
+    table = weight_diagram(rs, lam).table
+    nu_rho, mu_rho = wadd(nu, rs.rho), wadd(mu, rs.rho)
+    return sum(
+        sign * table.get(wsub(apply_matrix(mat, nu_rho), mu_rho), 0)
+        for mat, sign in weyl_elements(rs)
+    )
+
+
+def _small_dominant(rng, rs, cap):
+    while True:
+        w = tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(rs.rank))
+        if weyl_dimension(rs, w) <= cap:
+            return w
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
+def test_orbit_sum_equals_the_textbook_racah_speiser_sum(name):
+    rs = build_root_system(name)
+    rng = random.Random(sum(map(ord, name)))
+    values = []
+    for _ in range(8):
+        lam, mu = _small_dominant(rng, rs, 120), _small_dominant(rng, rs, 120)
+        nus = {wadd(beta, mu) for beta in weight_diagram(rs, lam).table}
+        nus = {nu for nu in nus if is_dominant(nu)}
+        nus |= {_small_dominant(rng, rs, 400) for _ in range(4)}
+        for nu in sorted(nus):
+            got = tensor_multiplicity(rs, lam, mu, nu)
+            assert got == _textbook_racah_speiser(rs, lam, mu, nu), (lam, mu, nu)
+            values.append(got)
+    assert 0 in values and max(values) > 1
+
+
+def test_threads_decomposing_on_one_type_share_each_orbit(monkeypatch):
+    import sys
+    import threading
+
+    from fusionkit import tensor
+
+    b3 = build_root_system("B3")
+    pairs = [
+        (lam, mu)
+        for lam in ((1, 0, 0), (0, 0, 1), (1, 0, 1))
+        for mu in ((0, 1, 0), (1, 0, 1), (0, 0, 2))
+    ]
+    serial = {pair: tensor_decompose(b3, *pair).terms for pair in pairs}
+    monkeypatch.setattr(tensor, "_ORBIT_MEMO", {})
+    handed_out, errors = [], []
+    orbit_points = tensor._orbit_points
+
+    def recording(rs, group, mu_rho):
+        got = orbit_points(rs, group, mu_rho)
+        handed_out.append((mu_rho, got))
+        return got
+
+    monkeypatch.setattr(tensor, "_orbit_points", recording)
+
+    def worker(seed):
+        order = list(pairs)
+        random.Random(seed).shuffle(order)
+        try:
+            for pair in order:
+                if tensor_decompose(b3, *pair).terms != serial[pair]:
+                    errors.append(pair)
+        except Exception as exc:  # pragma: no cover - only on regression
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    memo = tensor._ORBIT_MEMO
+    assert set(memo) == {("B3", wadd(mu, b3.rho)) for _, mu in pairs}
+    assert all(got is memo["B3", mu_rho] for mu_rho, got in handed_out)
 
 
 def test_conjugation_symmetry(a2):
