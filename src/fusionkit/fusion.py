@@ -10,6 +10,8 @@ kill e_theta^{k-<nu,theta>+1} of everything).
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import permutations
@@ -41,6 +43,8 @@ from .rootdata import (
 from .tensor import tensor_decompose
 
 DEFAULT_FZ_CAP = 400
+
+Triple = tuple[Weight, Weight, Weight]
 
 _FOLD_LIMIT = 100_000
 
@@ -105,10 +109,6 @@ def _prv_constraints(mu: Weight) -> list[tuple[str, int]]:
     return [(f"e{j}", m + 1) for j, m in enumerate(mu)]
 
 
-def _walton_constraints(rs: RootSystem, k: int, mu: Weight, top: Weight) -> list[tuple[str, int]]:
-    return _prv_constraints(mu) + [("etheta", k - theta_pairing(rs, top) + 1)]
-
-
 def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
                   max_dim: int = DEFAULT_DIM_CAP) -> int:
     """dim{v in V^lam_beta : e_j^{<mu,alpha_j>+1} v = 0 for all j}.
@@ -133,9 +133,8 @@ def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weig
     _require_weight(rs, lam, beta)
     top = wadd(beta, mu)
     _require_alcove(rs, k, top, "beta+mu")
-    return _constrained_dimension(
-        cached_module(rs, lam, max_dim), beta, _walton_constraints(rs, k, mu, top)
-    )
+    constraints = _prv_constraints(mu) + [("etheta", k - theta_pairing(rs, top) + 1)]
+    return _constrained_dimension(cached_module(rs, lam, max_dim), beta, constraints)
 
 
 def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
@@ -154,50 +153,48 @@ def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weig
     if wsub(nu, mu) not in weight_diagram(rs, lam).table:
         return 0
     check_dim_cap(rs, lam, max_dim)
-    keyed, dim = [], cache(partial(weyl_dimension, rs))
-    for a, b, t in _equivalent_triples(rs, k, lam, mu, nu):
-        depth = root_lattice_depth(rs, wsub(t, b), a)
-        if depth is None:  # t - b is not below a, so not a weight of V^a
-            return 0
-        keyed.append((dim(a), depth, a, b, t))
-    *_, a, b, t = min(keyed)
+    nodes = [j for j, m in enumerate(rs.marks) if m == 1]
+    orbit = cache(lambda w: (w, *(simple_current(rs, k, j, w) for j in nodes)))  # [x] is J_x w
+    triples = _equivalent_triples(rs, lam, mu, nu, orbit)
+    dims = {a: weyl_dimension(rs, a) for a in {a for a, _, _ in triples}}
+    return _class_value(rs, k, triples, dims, max_dim)
+
+
+def _equivalent_triples(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight,
+                        orbit: Callable[[Weight], tuple[Weight, ...]]) -> set[Triple]:
+    """Every (a, b, t) with N^(k)t_{a,b} = N^(k)nu_{lam,mu} by S3 and the simple currents.
+
+    N^nu_{lam,mu} = N_{lam,mu,nu*} is symmetric in its three weights, and
+    N^{J_x J_y t}_{J_x a, J_y b} = N^t_{a,b} for currents J_x, J_y (or the identity);
+    ``orbit(w)[x]`` is J_x w, the identity first.
+    """
+    pairs = ((lam, dual_weight(rs, lam)), (mu, dual_weight(rs, mu)), (dual_weight(rs, nu), nu))
+    return {(ja, jb, jt)  # (a, b, t*) runs over the orderings of (lam, mu, nu*)
+            for (a, _), (b, _), (_, t) in permutations(pairs)
+            for jb, jy_t in zip(orbit(b), orbit(t))
+            for ja, jt in zip(orbit(a), orbit(jy_t))}
+
+
+def _class_value(rs: RootSystem, k: int, triples: set[Triple], dims: dict[Weight, int],
+                 max_dim: int) -> int:
+    """The common N^(k)t_{a,b} of one ``_equivalent_triples`` class, from one member.
+
+    The member of least (dim V^a, depth of t - b below a, a, b) is ranked at
+    beta = t - b; only the members of least dim V^a get a depth.
+    """
+    least = min(dims[a] for a, _, _ in triples)
+    keyed = []
+    for a, b, t in triples:
+        if dims[a] == least:
+            depth = root_lattice_depth(rs, wsub(t, b), a)
+            if depth is None:  # t - b is not below a, so not a weight of V^a
+                return 0
+            keyed.append((depth, a, b, t))
+    _, a, b, t = min(keyed)
     beta = wsub(t, b)
     if beta not in weight_diagram(rs, a).table:
         return 0
     return walton_dimension(rs, k, a, beta, b, max_dim)
-
-
-def _equivalent_triples(rs: RootSystem, k: int, lam: Weight, mu: Weight,
-                        nu: Weight) -> set[tuple[Weight, Weight, Weight]]:
-    """Every (a, b, t) with N^(k)t_{a,b} = N^(k)nu_{lam,mu} by S3 and the simple currents.
-
-    N^nu_{lam,mu} = N_{lam,mu,nu*} is symmetric in its three weights, and
-    N^{J_x J_y t}_{J_x a, J_y b} = N^t_{a,b} for currents J_x, J_y (or the identity).
-    """
-    nodes = [j for j, m in enumerate(rs.marks) if m == 1]
-    orbit = cache(lambda w: (w, *(simple_current(rs, k, j, w) for j in nodes)))  # [x] is J_x w
-    forms = [(a, b, dual_weight(rs, c))
-             for a, b, c in permutations((lam, mu, dual_weight(rs, nu)))]
-    xs = range(len(nodes) + 1)
-    return {(orbit(a)[x], orbit(b)[y], orbit(orbit(t)[y])[x])
-            for a, b, t in forms for x in xs for y in xs}
-
-
-def _walton_row(rs: RootSystem, k: int, lam: Weight, mu: Weight, max_dim: int) -> dict[Weight, int]:
-    """Every N^(k)nu_{lam,mu} with nu - mu a weight of V^lam, from one module.
-
-    beta runs over the weights of V^lam with beta + mu in the alcove, so the
-    cells whose nu - mu is not a weight (zero) are never visited.
-    """
-    _require_alcove(rs, k, lam, "lam")
-    _require_alcove(rs, k, mu, "mu")
-    module = cached_module(rs, lam, max_dim)
-    row = {}
-    for beta in module.diagram.table:
-        nu = wadd(beta, mu)
-        if in_alcove(rs, k, nu):
-            row[nu] = _constrained_dimension(module, beta, _walton_constraints(rs, k, mu, nu))
-    return row
 
 
 def affine_fold(rs: RootSystem, x: Weight, shifted_level: int) -> tuple[Weight | None, int]:
@@ -382,31 +379,30 @@ def _current_group(rs: RootSystem, k: int, alcove: list[Weight]) -> list[dict[We
     return group
 
 
-def _orbit_rows(rs: RootSystem, k: int, alcove: list[Weight], dims: dict[Weight, int],
-                max_dim: int):
-    """The Walton row function, computing one row per unordered pair of orbits.
+def _walton_cells(rs: RootSystem, k: int, alcove: list[Weight], dims: dict[Weight, int],
+                  max_dim: int) -> dict[tuple[Weight, Weight], dict[Weight, int]]:
+    """{(lam, mu): {nu: N^(k)nu_{lam,mu}}} for the nonzero cells, one ``_class_value`` per class.
 
-    Each simple-current orbit is represented by its weight of least (dimension,
-    weight), and a pair's row is computed on the smaller module: with lam = J_a rep
-    and mu = J_b rep', N^(k){J_a J_b nu}_{lam,mu} = N^(k)nu_{rep,rep'} = N^(k)nu_{rep',rep}.
+    (a, b, t = beta + b) is visited for beta a weight of V^a, only when dim V^a is the
+    least of its current orbit and the orbits of b and t hold nothing smaller. A class
+    of nonzero value passes on its member whose a has the least dimension in the class.
     """
-    by_size = {w: n for n, w in enumerate(sorted(alcove, key=lambda w: (dims[w], w)))}
-    origin: dict[Weight, tuple[Weight, dict[Weight, Weight]]] = {}  # lam -> (rep, J), J rep = lam
     group = _current_group(rs, k, alcove)
-    for w in by_size:
-        if w not in origin:
-            for current in group:
-                origin.setdefault(current[w], (w, current))
-    computed: dict[tuple[Weight, Weight], dict[Weight, int]] = {}
-
-    def row(lam: Weight, mu: Weight) -> dict[Weight, int]:
-        (rep_l, j_l), (rep_m, j_m) = origin[lam], origin[mu]
-        pair = tuple(sorted((rep_l, rep_m), key=by_size.get))
-        if pair not in computed:
-            computed[pair] = _walton_row(rs, k, *pair, max_dim)
-        return {j_l[j_m[nu]]: c for nu, c in computed[pair].items()}
-
-    return row
+    orbits = {w: tuple(current[w] for current in group) for w in alcove}
+    least = {w: min(dims[v] for v in orbits[w]) for w in alcove}
+    cells: dict[tuple[Weight, Weight], dict[Weight, int]] = defaultdict(dict)
+    seen: set[Triple] = set()
+    for a in (a for a in alcove if dims[a] == least[a]):
+        for b in (b for b in alcove if least[b] >= dims[a]):
+            for t in (wadd(beta, b) for beta in weight_diagram(rs, a).table):
+                if least.get(t, 0) < dims[a] or (a, b, t) in seen:  # 0: t is off the alcove
+                    continue
+                triples = _equivalent_triples(rs, a, b, t, orbits.__getitem__)
+                seen |= triples
+                if c := _class_value(rs, k, triples, dims, max_dim):
+                    for x, y, z in triples:
+                        cells[x, y][z] = c
+    return cells
 
 
 def fusion_table(rs: RootSystem, k: int, backend: str = "walton",
@@ -415,12 +411,12 @@ def fusion_table(rs: RootSystem, k: int, backend: str = "walton",
     """The full level-k table, built one (lam, mu) row at a time.
 
     Every alcove weight is checked against ``max_dim`` first, on every
-    backend. ``walton`` (production) ranks the Walton space at every weight
-    beta of V^lam with beta + mu in the alcove, on one module per row, for one
-    row per unordered pair of simple-current orbits, and relabels the rest;
-    ``kacwalton`` folds one tensor decomposition per row; ``fz`` runs the
-    Frenkel-Zhu oracle on every cell, except in the rows its caps refuse,
-    which it lists in ``skipped``. The two oracles use no symmetry.
+    backend. ``walton`` (production) ranks one Walton space per S3 x
+    simple-current class of nonzero cells, on the member ``fusion_coefficient``
+    would choose, and writes its value into every member; ``kacwalton`` folds
+    one tensor decomposition per row; ``fz`` runs the Frenkel-Zhu oracle on
+    every cell, except in the rows its caps refuse, which it lists in
+    ``skipped``. The two oracles use no symmetry.
     """
     alcove = level_alcove(rs, k)
     if backend not in FUSION_BACKENDS:
@@ -428,7 +424,8 @@ def fusion_table(rs: RootSystem, k: int, backend: str = "walton",
     dims = {w: check_dim_cap(rs, w, max_dim) for w in alcove}
     # row(lam, mu) -> {nu: N^(k)nu_{lam,mu}}, absent nu counting as 0
     if backend == "walton":
-        row = _orbit_rows(rs, k, alcove, dims, max_dim)
+        rows = _walton_cells(rs, k, alcove, dims, max_dim)
+        row = lambda lam, mu: rows.get((lam, mu), {})
     elif backend == "kacwalton":
         row = partial(_kac_walton_row, rs, k)
     else:

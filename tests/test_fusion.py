@@ -29,6 +29,7 @@ from fusionkit.errors import InternalError
 from fusionkit.fusion import (
     FUSION_BACKENDS,
     _current_group,
+    _equivalent_triples,
     affine_fold,
     check_level,
     theta_pairing,
@@ -368,6 +369,40 @@ def test_a_point_query_builds_only_the_chosen_module(monkeypatch, name, k, tripl
     assert fusion_coefficient(rs, k, *triple) == value
     assert {lam: len(m._basis) for (_, lam), m in repspace._MODULE_MEMO.items()} == built
     assert set(read) == {triple[0], *built}  # only lam's and the chosen module's diagrams
+
+
+@pytest.mark.parametrize("name, k", [("G2", 4), ("A3", 3)])
+def test_a_table_ranks_each_class_once_on_the_member_a_point_query_ranks(monkeypatch, name, k):
+    rs = build_root_system(name)
+    ranked = []  # (a, b, t) of every walton_dimension call, at beta = t - b
+    original = fusionkit.fusion.walton_dimension
+
+    def record(rs, k, lam, beta, mu, *rest):
+        ranked.append((lam, mu, wadd(beta, mu)))
+        return original(rs, k, lam, beta, mu, *rest)
+
+    monkeypatch.setattr(fusionkit.fusion, "walton_dimension", record)
+    table = fusion_table(rs, k)
+    from_table = list(ranked)
+    group = _current_group(rs, k, level_alcove(rs, k))
+    classes = [_equivalent_triples(rs, *triple, lambda w: tuple(j[w] for j in group))
+               for triple in from_table]
+    covered = set().union(*classes)
+    assert sum(map(len, classes)) == len(covered)  # no two calls in one class
+    assert set(table.coeffs) <= covered
+    for triple in from_table:
+        ranked.clear()
+        assert fusion_coefficient(rs, k, *triple) == table.coefficient(*triple)
+        assert ranked == [triple]
+
+
+def test_the_g2_level_six_table_builds_at_most_458_weight_spaces(monkeypatch):
+    """One row per unordered pair of alcove weights built 964."""
+    from fusionkit import repspace
+
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    fusion_table(build_root_system("G2"), 6)
+    assert sum(len(m._basis) for m in repspace._MODULE_MEMO.values()) <= 458
 
 
 def test_point_query_caps_apply_to_lam_as_before_routing(a2):
