@@ -27,7 +27,6 @@ from .rootdata import (
     dominant_in_orbit,
     in_root_lattice_below,
     is_dominant,
-    root_lattice_depth,
     wadd,
     weyl_orbit,
     wsub,
@@ -87,7 +86,12 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 
 
 def weight_support(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """All weights of V^lam with their depth below lam.
+    """All weights of V^lam with their depth below lam."""
+    return _support(rs, lam)[0]
+
+
+def _support(rs: RootSystem, lam: Weight) -> tuple[dict[Weight, int], dict[Weight, Weight]]:
+    """weight_support's depths, and the dominant representative of each weight.
 
     A weight of lam's lattice coset belongs to the support exactly when its
     dominant representative sits below lam in the root-lattice order; the
@@ -95,7 +99,7 @@ def weight_support(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """
     if not is_dominant(lam):
         raise PreconditionError(f"{lam} is not dominant")
-    depths = {lam: 0}
+    depths, reps = {lam: 0}, {lam: lam}
     frontier = [lam]
     while frontier:
         nxt = []
@@ -103,13 +107,13 @@ def weight_support(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
             d = depths[nu]
             for a in rs.simple_roots:
                 cand = wsub(nu, a)
-                if cand not in depths and in_root_lattice_below(
-                    rs, dominant_in_orbit(rs, cand), lam
-                ):
-                    depths[cand] = d + 1
-                    nxt.append(cand)
+                if cand not in depths:
+                    rep = dominant_in_orbit(rs, cand)
+                    if in_root_lattice_below(rs, rep, lam):
+                        depths[cand], reps[cand] = d + 1, rep
+                        nxt.append(cand)
         frontier = nxt
-    return depths
+    return depths, reps
 
 
 def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
@@ -122,15 +126,19 @@ def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """
     if not is_dominant(lam):
         raise PreconditionError(f"{lam} is not dominant")
+    # ht(alpha) = <alpha, rho^vee>, read off the column sums of the scaled Cartan inverse
+    cols = [sum(col) for col in zip(*rs.cartan_inverse_num)]
+    den = rs.cartan_inverse_den
+    steps = [(alpha, sum(map(mul, cols, alpha)) // den) for alpha in rs.positive_roots]
     depths = {lam: 0}
     frontier = [lam]
     while frontier:
         nxt = []
         for nu in frontier:
-            for alpha in rs.positive_roots:
+            for alpha, height in steps:
                 cand = wsub(nu, alpha)
                 if cand not in depths and is_dominant(cand):
-                    depths[cand] = root_lattice_depth(rs, cand, lam)
+                    depths[cand] = depths[nu] + height
                     nxt.append(cand)
         frontier = nxt
     return depths
@@ -156,8 +164,10 @@ def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
 def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     """The Freudenthal formula on the dominant weights, each value written to its W-orbit.
 
-    Dominant weights are taken highest first, so every weight nu + j alpha
-    the formula reads lies in the orbit of a dominant weight already done.
+    The string sum over nu + j alpha (j >= 1) is kept as a suffix sum
+    tail[nu + alpha] = sum_{j >= 1} m(nu + j alpha) D (nu + j alpha, alpha),
+    one table per positive root. A lower dominant weight on the same string
+    walks up only to that entry, so each string is summed once.
     """
     lam = tuple(lam)
     depths = dominant_weights(rs, lam)
@@ -169,18 +179,28 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
 
     top_norm = norm(wadd(lam, rs.rho))
     table: dict[Weight, int] = {}
+    tails: list[dict[Weight, int]] = [{} for _ in funcs]
     for nu in sorted(depths, key=lambda nu: (depths[nu], nu)):
         if nu == lam:
             value = 1
         else:
+            # Dominant weights are taken highest first, and every weight above nu
+            # lies in the orbit of a dominant weight of smaller depth, which is
+            # already in the table. Weight strings are unbroken, so the walk up
+            # from nu + alpha stops at the top of the string or at the suffix sum
+            # an earlier dominant weight on it left, and each suffix sum is final
+            # when it is written.
             acc = 0
-            for alpha, f in zip(rs.positive_roots, funcs):
-                cur = wadd(nu, alpha)
+            for alpha, f, tail in zip(rs.positive_roots, funcs, tails):
+                start = cur = wadd(nu, alpha)
                 pair, step = sum(map(mul, f, cur)), sum(map(mul, f, alpha))
-                while (m := table.get(cur)) is not None:  # weight strings are unbroken
-                    acc += m * pair  # pair = D (cur, alpha), growing by D (alpha, alpha)
+                string = 0
+                while (rest := tail.get(cur)) is None and (m := table.get(cur)) is not None:
+                    string += m * pair  # pair = D (cur, alpha), growing by D (alpha, alpha)
                     pair += step
                     cur = wadd(cur, alpha)
+                tail[start] = string = string + (rest or 0)
+                acc += string
             denom = top_norm - norm(wadd(nu, rs.rho))
             value, rem = divmod(2 * acc, denom)
             if rem or value < 1:
@@ -200,10 +220,12 @@ def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     The shifts rho - w rho come from the orbit of rho walked by simple
     reflections: rho is regular, so each w != 1 appears once, at the depth
     l(w), and eps(w) = (-1)^l(w). rho - w rho is a positive root sum for
-    w != 1, so the recursion only ever consults strictly higher weights.
+    w != 1, so the recursion only ever consults strictly higher weights. A
+    shifted weight outside the support contributes 0: a weight whose dominant
+    representative has a multiplicity is itself in the support.
     """
     lam = tuple(lam)
-    depths = weight_support(rs, lam)
+    depths, reps = _support(rs, lam)
     dominants = sorted(
         (nu for nu in depths if is_dominant(nu)), key=lambda nu: (depths[nu], nu)
     )
@@ -220,14 +242,14 @@ def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
             continue
         acc = 0
         for shift, sign in shifts:
-            m = mult.get(dominant_in_orbit(rs, wadd(nu, shift)))
-            if m:
-                acc += sign * m
+            rep = reps.get(wadd(nu, shift))
+            if rep is not None:
+                acc += sign * mult[rep]
         value = -acc
         if value < 1:
             raise InternalError(f"the W-recursion produced {value} at {nu} in V^{lam}")
         mult[nu] = value
-    table = {nu: mult[dominant_in_orbit(rs, nu)] for nu in depths}
+    table = {nu: mult[rep] for nu, rep in reps.items()}
     return WeightDiagram(highest=lam, table=table, root_system=rs)
 
 

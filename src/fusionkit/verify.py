@@ -3,7 +3,7 @@
 Each suite is an exhaustive sweep at desk scale; every comparison is exact
 integer equality. A suite returns a report with the number of checks run and
 a list of human-readable failure descriptions (empty on success). The CLI
-exposes six named suites; the remaining sweeps run from the test suite.
+exposes seven named suites; the remaining sweeps run from the test suite.
 """
 
 from __future__ import annotations
@@ -421,10 +421,13 @@ def verify_stability() -> SuiteReport:
 _MULT_TYPES = ("A1", "A2", "B2", "G2")
 
 
-def verify_multiplicity_oracle(dim_cap: int = 500) -> SuiteReport:
+def verify_multiplicity_oracle(restrict_type: str | None = None,
+                               dim_cap: int = 500) -> SuiteReport:
     """W-recursion diagram == production (Freudenthal) diagram; total == Weyl dimension."""
     report = SuiteReport("multiplicity")
     for name in _MULT_TYPES:
+        if restrict_type and name != restrict_type:
+            continue
         rs = build_root_system(name)
         for lam in dominant_weights_up_to_dim(rs, dim_cap):
             recursion = recursion_diagram(rs, lam)
@@ -448,4 +451,5 @@ CLI_SUITES = {
     "axioms": verify_axioms,
     "lemmas": verify_lemmas,
     "stability": verify_stability,
+    "multiplicity": verify_multiplicity_oracle,
 }

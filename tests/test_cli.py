@@ -149,6 +149,9 @@ def test_verify_known_suites(capsys):
     code, out = run(capsys, "verify", "three-way", "--type", "A2", "--level", "1")
     assert code == 0
     assert "three-way: PASS" in out
+    code, out = run(capsys, "verify", "multiplicity", "--type", "G2")
+    assert code == 0
+    assert "multiplicity: PASS" in out
 
 
 def test_verify_unknown_suite(capsys):
@@ -162,6 +165,7 @@ def test_verify_unknown_suite(capsys):
     (("prv", "--type", "G2"), "--type G2"),
     (("axioms", "--type", "A2", "--level", "7"), "--type A2 --level 7"),
     (("axioms", "--type", "A1", "--level", "0"), "--type A1 --level 0"),
+    (("multiplicity", "--type", "E8"), "--type E8"),
 ])
 def test_verify_with_no_matching_checks_is_a_precondition_error(capsys, args, named):
     """A filter that selects nothing exits 3 and names itself instead of passing 0 checks."""
@@ -175,6 +179,11 @@ def test_verify_with_no_matching_checks_is_a_precondition_error(capsys, args, na
 @pytest.mark.parametrize("option", [("--type", "G2"), ("--level", "2")])
 def test_verify_filter_a_suite_ignores_is_a_parse_error(capsys, suite, option):
     code, out = run(capsys, "verify", suite, *option)
+    assert code == 2 and out == ""
+
+
+def test_verify_multiplicity_takes_no_level(capsys):
+    code, out = run(capsys, "verify", "multiplicity", "--level", "2")
     assert code == 2 and out == ""
 
 

@@ -12,12 +12,19 @@ from fusionkit import (
     weight_diagram,
     weyl_dimension,
 )
-from fusionkit.multiplicity import dominant_weights_up_to_dim
-from fusionkit.rootdata import apply_matrix, in_root_lattice_below, wadd, weyl_elements
+from fusionkit import multiplicity
+from fusionkit.multiplicity import dominant_weights, dominant_weights_up_to_dim
+from fusionkit.rootdata import (
+    apply_matrix,
+    in_root_lattice_below,
+    root_lattice_depth,
+    wadd,
+    weyl_elements,
+)
 
 
 def test_sl2_diagrams_are_strings_of_ones(a1):
-    for m in range(7):
+    for m in (*range(7), 2000):
         d = weight_diagram(a1, (m,))
         assert d.table == {(m - 2 * i,): 1 for i in range(m + 1)}
 
@@ -77,6 +84,50 @@ def test_recursion_matches_freudenthal(name, cap):
     assert lams, name
     for lam in lams:
         assert dict(recursion_diagram(rs, lam).table) == dict(weight_diagram(rs, lam).table)
+
+
+@pytest.mark.parametrize("name,lams", [
+    # criterion 8 stops at dim 500, so these strings are longer than any it sees
+    ("A1", [(n,) for n in range(500, 601)]),
+    ("A2", [(k, 0) for k in range(31, 49)] + [(k, k) for k in range(7, 25)]),
+    ("B2", [(0, k) for k in range(1, 31)]),
+    ("G2", [(k, 0) for k in range(1, 16)]),
+])
+def test_recursion_matches_freudenthal_on_long_strings(name, lams):
+    rs = build_root_system(name)
+    for lam in lams:
+        assert dict(recursion_diagram(rs, lam).table) == dict(freudenthal_diagram(rs, lam).table)
+
+
+def test_freudenthal_sums_each_string_once(a1, monkeypatch):
+    """Summing each alpha-string afresh per weight takes ~n^2/8 steps on V^(n) of A1."""
+    calls = 0
+
+    def counting_wadd(a, b):
+        nonlocal calls
+        calls += 1
+        return wadd(a, b)
+
+    monkeypatch.setattr(multiplicity, "wadd", counting_wadd)
+    assert freudenthal_diagram(a1, (400,)).dimension == 401
+    assert calls <= 4 * 401
+
+
+def test_recursion_oracle_is_independent_of_freudenthal(a2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle read the production diagram layer")
+
+    for name in ("freudenthal_diagram", "dominant_weights", "weight_diagram"):
+        monkeypatch.setattr(multiplicity, name, refuse)
+    assert recursion_diagram(a2, (2, 1)).dimension == 15
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_dominant_weight_depths_are_root_lattice_depths(name):
+    rs = build_root_system(name)
+    for lam in _dominants_up_to_300(name):
+        depths = dominant_weights(rs, lam)
+        assert depths == {nu: root_lattice_depth(rs, nu, lam) for nu in depths}
 
 
 @cache
