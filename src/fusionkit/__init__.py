@@ -40,7 +40,6 @@ from .repspace import (
     build_theta_operators,
     cached_module,
     operator_power_block,
-    power_kernel,
 )
 from .rootdata import (
     CartanType,
@@ -104,7 +103,6 @@ __all__ = [
     "operator_power_block",
     "pairing",
     "parse_cartan_type",
-    "power_kernel",
     "prv_dimension",
     "recursion_diagram",
     "reflect",

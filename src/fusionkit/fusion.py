@@ -22,7 +22,6 @@ from .multiplicity import weight_diagram, weyl_dimension
 from .repspace import (
     DEFAULT_DIM_CAP,
     RepModule,
-    _operator_blocks,
     cached_module,
     check_dim_cap,
     operator_power_block,
@@ -31,8 +30,8 @@ from .rootdata import (
     RootSystem,
     Weight,
     dual_weight,
+    fold_dominant,
     is_dominant,
-    reflect,
     root_lattice_depth,
     simple_current,
     wadd,
@@ -92,6 +91,15 @@ def level_alcove(rs: RootSystem, k: int) -> list[Weight]:
     return sorted(out)
 
 
+def _check_triple(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight) -> Triple:
+    """(lam, mu, nu) as tuples, after checking the level and that each is in the level-k alcove."""
+    check_level(k)
+    triple = tuple(lam), tuple(mu), tuple(nu)
+    for w, name in zip(triple, ("lam", "mu", "nu")):
+        _require_alcove(rs, k, w, name)
+    return triple
+
+
 def _require_weight(rs: RootSystem, lam: Weight, beta: Weight) -> None:
     if beta not in weight_diagram(rs, lam).table:
         raise PreconditionError(f"beta = {beta} is not a weight of V^{lam}")
@@ -145,11 +153,7 @@ def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weig
     (dim V^a, depth of t - b below a, a, b) is ranked at beta = t - b; its module is
     never larger than V^lam. ``walton_dimension`` is the symmetry-free form.
     """
-    check_level(k)
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    _require_alcove(rs, k, lam, "lam")
-    _require_alcove(rs, k, mu, "mu")
-    _require_alcove(rs, k, nu, "nu")
+    lam, mu, nu = _check_triple(rs, k, lam, mu, nu)
     if wsub(nu, mu) not in weight_diagram(rs, lam).table:
         return 0
     check_dim_cap(rs, lam, max_dim)
@@ -200,26 +204,20 @@ def _class_value(rs: RootSystem, k: int, triples: set[Triple], dims: dict[Weight
 def affine_fold(rs: RootSystem, x: Weight, shifted_level: int) -> tuple[Weight | None, int]:
     """Fold x into the open fundamental alcove at the shifted level.
 
-    Reflects at simple walls and at <x, theta> = shifted_level, accumulating
-    the sign; wall hits return (None, 0).
+    Folds to the dominant chamber and reflects at <x, theta> = shifted_level
+    until x is in the alcove, accumulating the sign; wall hits return (None, 0).
     """
     start, sign = x, 1
     for _ in range(_FOLD_LIMIT):
-        i = next((i for i, c in enumerate(x) if c < 0), None)
-        if i is not None:
-            x = reflect(rs, i, x)
-            sign = -sign
-            continue
-        if any(c == 0 for c in x):
-            return None, 0
+        x, parity = fold_dominant(rs, x)
+        sign *= parity
         t = theta_pairing(rs, x)
-        if t == shifted_level:
+        if 0 in x or t == shifted_level:
             return None, 0
-        if t > shifted_level:
-            x = wsub(x, wscale(t - shifted_level, rs.theta))
-            sign = -sign
-            continue
-        return x, sign
+        if t < shifted_level:
+            return x, sign
+        x = wsub(x, wscale(t - shifted_level, rs.theta))
+        sign = -sign
     raise InternalError(f"affine folding of {start} at shifted level {shifted_level} did not end")
 
 
@@ -239,11 +237,7 @@ def _kac_walton_row(rs: RootSystem, k: int, lam: Weight, mu: Weight) -> dict[Wei
 
 def kac_walton_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight) -> int:
     """Oracle: fold the tensor decomposition through the affine walls at k + h_vee."""
-    check_level(k)
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    _require_alcove(rs, k, lam, "lam")
-    _require_alcove(rs, k, mu, "mu")
-    _require_alcove(rs, k, nu, "nu")
+    lam, mu, nu = _check_triple(rs, k, lam, mu, nu)
     return _kac_walton_row(rs, k, lam, mu).get(nu, 0)
 
 
@@ -265,7 +259,8 @@ def _slice_map(mod_l: RepModule, mod_r: RepModule, gamma: Weight, shift: Weight,
     """X (x) 1 + 1 (x) Y from the gamma slice of V^lam (x) V^mu into the gamma + shift slice.
 
     left(b1) is the block of X out of V^lam_{b1} and right(b2) that of Y out
-    of V^mu_{b2}, or None where the operator is zero; right=None means Y = 0.
+    of V^mu_{b2}; each is read only where its target slot is present.
+    right=None means Y = 0.
     """
     src = _slice_pairs(mod_l, mod_r, gamma)
     tgt = _slice_pairs(mod_l, mod_r, wadd(gamma, shift))
@@ -273,13 +268,11 @@ def _slice_map(mod_l: RepModule, mod_r: RepModule, gamma: Weight, shift: Weight,
     blocks = {}
     for s, (b1, b2, d1, d2) in enumerate(src):
         t = at.get((wadd(b1, shift), b2))
-        blk = None if t is None else left(b1)
-        if blk is not None:
-            blocks[t, s] = blk.kron(RationalMatrix.identity(d2))
+        if t is not None:
+            blocks[t, s] = left(b1).kron(RationalMatrix.identity(d2))
         t = at.get((b1, wadd(b2, shift))) if right else None
-        blk = None if t is None else right(b2)
-        if blk is not None:
-            blocks[t, s] = RationalMatrix.identity(d1).kron(blk)
+        if t is not None:
+            blocks[t, s] = RationalMatrix.identity(d1).kron(right(b2))
     return RationalMatrix.block([d1 * d2 for *_, d1, d2 in tgt],
                                 [d1 * d2 for *_, d1, d2 in src], blocks)
 
@@ -304,11 +297,7 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     only (the coproduct variant computes a different, wrong number). Equals
     fusion_coefficient(lam, mu, nu*).
     """
-    check_level(k)
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    _require_alcove(rs, k, lam, "lam")
-    _require_alcove(rs, k, mu, "mu")
-    _require_alcove(rs, k, nu, "nu")
+    lam, mu, nu = _check_triple(rs, k, lam, mu, nu)
     check_fz_cap(rs, lam, mu, max_fz_dim)
     mod_l = cached_module(rs, lam, max_dim)
     mod_r = cached_module(rs, mu, max_dim)
@@ -316,11 +305,10 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     pairs = _slice_pairs(mod_l, mod_r, target)
     if not pairs:
         return 0
-    lowering = []
-    for j in range(rs.rank):
-        blocks_l, shift = _operator_blocks(mod_l, f"f{j}")
-        blocks_r, _ = _operator_blocks(mod_r, f"f{j}")
-        lowering.append(_slice_map(mod_l, mod_r, target, shift, blocks_l.get, blocks_r.get))
+    lowering = [_slice_map(mod_l, mod_r, target, wneg(alpha),
+                           partial(operator_power_block, mod_l, f"f{j}", 1),
+                           partial(operator_power_block, mod_r, f"f{j}", 1))
+                for j, alpha in enumerate(rs.simple_roots)]
     lwv_basis = RationalMatrix.vstack(lowering).kernel()  # U^-: lowest weight vectors of weight -nu
     count = lwv_basis.cols
     if count == 0:

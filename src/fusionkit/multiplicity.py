@@ -85,13 +85,8 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     return dim
 
 
-def weight_support(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """All weights of V^lam with their depth below lam."""
-    return _support(rs, lam)[0]
-
-
 def _support(rs: RootSystem, lam: Weight) -> tuple[dict[Weight, int], dict[Weight, Weight]]:
-    """weight_support's depths, and the dominant representative of each weight.
+    """All weights of V^lam with their depth below lam, and the dominant representative of each.
 
     A weight of lam's lattice coset belongs to the support exactly when its
     dominant representative sits below lam in the root-lattice order; the
@@ -215,7 +210,7 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
 
 
 def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
-    """Independent oracle: the Weyl-group recursion on the support found by weight_support.
+    """Independent oracle: the Weyl-group recursion on the support found by _support.
 
     The shifts rho - w rho come from the orbit of rho walked by simple
     reflections: rho is regular, so each w != 1 appears once, at the depth

@@ -59,7 +59,6 @@ class RepModule:
     _raising: dict[tuple[int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
     _theta_steps: dict[str, tuple[tuple[Weight, Weight], ...]] | None = field(default=None)
     _theta: dict[tuple[str, int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
-    _op_blocks: dict[str, tuple] = field(default_factory=dict, repr=False)
     _ops: dict[str, tuple[str, int | None, Weight]] = field(default_factory=dict, repr=False)
     _powers: dict[tuple[str, Weight], tuple[RationalMatrix, ...]] = field(
         default_factory=dict, repr=False
@@ -83,12 +82,12 @@ class RepModule:
     @property
     def theta_raising(self) -> dict[Weight, RationalMatrix] | None:
         """e_theta blocks once build_theta_operators has run, else None."""
-        return None if self._theta_steps is None else _operator_blocks(self, "etheta")[0]
+        return None if self._theta_steps is None else _theta_map(self, "etheta")
 
     @property
     def theta_lowering(self) -> dict[Weight, RationalMatrix]:
         """f_theta blocks, once build_theta_operators has run."""
-        return _operator_blocks(self, "ftheta")[0]
+        return _theta_map(self, "ftheta")
 
 
 def check_dim_cap(rs: RootSystem, lam: Weight, max_dim: int) -> int:
@@ -289,16 +288,11 @@ def _block(module: RepModule, kind: str, i: int | None, src: Weight) -> Rational
     return module._lowering[(i, src)]
 
 
-def _operator_blocks(module: RepModule, op: str):
-    """Source-keyed blocks of the complete module plus weight shift, for an id like "f0"."""
-    got = module._op_blocks.get(op)
-    if got is None:  # only valid ids are ever stored, so the checks in _parse_op still hold
-        kind, i, shift = _parse_op(module, op)
-        weights = module.basis_index
-        blocks = {src: _block(module, kind, i, src) for src in weights
-                  if wadd(src, shift) in weights}
-        got = module._op_blocks[op] = (blocks, shift)
-    return got
+def _theta_map(module: RepModule, op: str) -> dict[Weight, RationalMatrix]:
+    """The "etheta" or "ftheta" blocks of the complete module, keyed by source weight."""
+    kind, _, shift = _parse_op(module, op)
+    weights = module.basis_index
+    return {src: _block(module, kind, None, src) for src in weights if wadd(src, shift) in weights}
 
 
 def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> RationalMatrix:
@@ -325,11 +319,6 @@ def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> Ra
             cur = wadd(cur, shift)
         chain = module._powers[(op, beta)] = tuple(powers)
     return chain[min(p, len(chain) - 1)]
-
-
-def power_kernel(module: RepModule, op: str, p: int, beta: Weight) -> RationalMatrix:
-    """Kernel basis of the p-fold operator block out of V_beta."""
-    return operator_power_block(module, op, p, beta).kernel()
 
 
 _MODULE_MEMO: dict[tuple[str, Weight], RepModule] = {}

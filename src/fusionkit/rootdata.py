@@ -435,14 +435,18 @@ def simple_current(rs: RootSystem, k: int, j: int, lam: Weight) -> Weight:
     return tuple(c + k if i == j else c for i, c in enumerate(x))
 
 
+def fold_dominant(rs: RootSystem, x: Weight) -> tuple[Weight, int]:
+    """The dominant point of the W-orbit of x, and (-1)^(simple reflections taken to reach it)."""
+    sign = 1
+    while (i := next((i for i, c in enumerate(x) if c < 0), None)) is not None:
+        x = reflect(rs, i, x)
+        sign = -sign
+    return x, sign
+
+
 def dominant_in_orbit(rs: RootSystem, mu: Weight) -> Weight:
     """The unique dominant weight in the W-orbit of mu (no rho shift)."""
-    x = mu
-    while True:
-        i = next((i for i, c in enumerate(x) if c < 0), None)
-        if i is None:
-            return x
-        x = reflect(rs, i, x)
+    return fold_dominant(rs, mu)[0]
 
 
 def make_dominant(rs: RootSystem, mu: Weight) -> tuple[Weight, int]:
@@ -451,17 +455,8 @@ def make_dominant(rs: RootSystem, mu: Weight) -> tuple[Weight, int]:
     Returns (w(mu+rho)-rho, sign of w) when mu+rho is regular; sign 0 when
     mu+rho lies on a reflection wall (the weight slot is then meaningless).
     """
-    x = wadd(mu, rs.rho)
-    sign = 1
-    while True:
-        i = next((i for i, c in enumerate(x) if c < 0), None)
-        if i is None:
-            break
-        x = reflect(rs, i, x)
-        sign = -sign
-    if any(c == 0 for c in x):
-        sign = 0
-    return wsub(x, rs.rho), sign
+    x, sign = fold_dominant(rs, wadd(mu, rs.rho))
+    return wsub(x, rs.rho), (0 if 0 in x else sign)
 
 
 def root_lattice_coords(rs: RootSystem, lower: Weight, upper: Weight) -> tuple[int, ...] | None:

@@ -29,7 +29,7 @@ from .multiplicity import (
     weight_diagram,
     weyl_dimension,
 )
-from .repspace import cached_module, operator_power_block, power_kernel
+from .repspace import cached_module, operator_power_block
 from .rootdata import (
     build_root_system,
     dual_weight,
@@ -281,7 +281,7 @@ def _lemma_orthogonal_split(report: SuiteReport) -> None:
             ker_total = 0
             im_total = 0
             for beta in module.basis_index:
-                kb = power_kernel(module, "f0", p, beta)
+                kb = operator_power_block(module, "f0", p, beta).kernel()
                 ker_total += kb.cols
                 back = wsub(beta, (2 * p,))
                 if back in module.basis_index:
@@ -317,8 +317,8 @@ def _lemma_kernel_duality(report: SuiteReport) -> None:
                 diagram = module.diagram
                 up = weight_string(diagram, beta, alpha).up
                 for p in range(max(0, -pair), up + 2):
-                    lhs = power_kernel(module, e_op, p, beta).cols
-                    rhs = power_kernel(module, f_op, p + pair, beta).cols
+                    lhs = operator_power_block(module, e_op, p, beta).kernel().cols
+                    rhs = operator_power_block(module, f_op, p + pair, beta).kernel().cols
                     report.check(
                         lhs == rhs,
                         lambda lam=lam, beta=beta, alpha=alpha, p=p, lhs=lhs, rhs=rhs:

@@ -166,10 +166,46 @@ def test_affine_fold_walls_and_interior(a1):
     assert (folded, sign) == ((3,), -1)
 
 
+def _fold_by_search(rs, x, shifted_level):
+    """The closed-alcove point of the affine Weyl orbit of x, found breadth-first over words
+    in the simple reflections and the affine one, with (-1)^depth; (None, 0) on a wall."""
+    def theta_of(y):
+        return sum(c * a for c, a in zip(rs.comarks, y))
+
+    level, seen = [x], {x}
+    for depth in range(100):
+        for y in level:
+            t = theta_of(y)
+            if min(y) >= 0 and t <= shifted_level:
+                return (None, 0) if 0 in y or t == shifted_level else (y, (-1) ** depth)
+        nxt = []
+        for y in level:
+            images = [tuple(c - y[i] * a for c, a in zip(y, root))
+                      for i, root in enumerate(rs.simple_roots)]
+            images.append(tuple(c - (theta_of(y) - shifted_level) * a
+                                for c, a in zip(y, rs.theta)))
+            for z in images:
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        level = nxt
+    raise AssertionError(f"no alcove point within 100 reflections of {x}")
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_affine_fold_matches_a_breadth_first_search(name):
+    rs = build_root_system(name)
+    shifted = 2 + rs.dual_coxeter
+    box = range(-shifted, 2 * shifted + 1)
+    got = {x: affine_fold(rs, x, shifted) for x in itertools.product(box, repeat=2)}
+    assert got == {x: _fold_by_search(rs, x, shifted) for x in got}
+    assert {sign for _, sign in got.values()} == {-1, 0, 1}
+
+
 def test_affine_fold_that_does_not_terminate_is_an_internal_error(a1, monkeypatch):
     monkeypatch.setattr(fusionkit.fusion, "_FOLD_LIMIT", 1)
     with pytest.raises(InternalError, match=r"\(-5,\) at shifted level 4"):
-        affine_fold(a1, (-5,), 4)  # (-5,) -> (5,) -> (3,): two folds
+        affine_fold(a1, (-5,), 4)  # (-5,) -> (5,) -> (3,): two passes
 
 
 def test_kac_walton_examples(a1, a2):

@@ -11,7 +11,6 @@ from fusionkit import (
     build_root_system,
     cached_module,
     operator_power_block,
-    power_kernel,
     weight_diagram,
 )
 from fusionkit.linalg import RationalMatrix
@@ -163,31 +162,31 @@ def test_theta_operator_examples(a1, a2):
     assert not mth.theta_raising[(0, 0)].is_zero()
     # nothing above the highest weight
     assert operator_power_block(mth, "etheta", 1, a2.theta).rows == 0
-    assert power_kernel(mth, "etheta", 1, a2.theta).cols == 1
+    assert operator_power_block(mth, "etheta", 1, a2.theta).kernel().cols == 1
 
 
-def test_power_kernel_sl2_closed_form(a1):
+def test_power_block_kernel_sl2_closed_form(a1):
     for m in range(6):
         module = cached_module(a1, (m,))
         for i in range(m + 1):
             beta = (m - 2 * i,)
-            assert power_kernel(module, "e0", i + 1, beta).cols == 1
-            assert power_kernel(module, "e0", i, beta).cols == 0
+            assert operator_power_block(module, "e0", i + 1, beta).kernel().cols == 1
+            assert operator_power_block(module, "e0", i, beta).kernel().cols == 0
 
 
-def test_power_kernel_theta_singlet(a2):
+def test_power_block_kernel_theta_singlet(a2):
     module = cached_module(a2, a2.theta)
-    assert power_kernel(module, "etheta", 1, (0, 0)).cols == 1
+    assert operator_power_block(module, "etheta", 1, (0, 0)).kernel().cols == 1
 
 
-def test_power_kernel_validation(a2):
+def test_power_block_validation(a2):
     module = cached_module(a2, (1, 0))
     with pytest.raises(PreconditionError):
-        power_kernel(module, "e0", 1, (5, 5))
+        operator_power_block(module, "e0", 1, (5, 5))
     with pytest.raises(PreconditionError):
-        power_kernel(module, "q0", 1, (1, 0))
+        operator_power_block(module, "q0", 1, (1, 0))
     with pytest.raises(PreconditionError):
-        power_kernel(module, "e7", 1, (1, 0))
+        operator_power_block(module, "e7", 1, (1, 0))
 
 
 def test_parsed_operator_ids_are_memoised_and_bad_ids_raise_every_time(a2):
@@ -229,7 +228,8 @@ def test_modules_and_walton_tables_invert_no_matrix(monkeypatch, g2):
     cached_module(c3, (1, 0, 1))
     fusion_table(g2, 3)
     for m in repspace._MODULE_MEMO.values():
-        assert "ftheta" not in m._op_blocks and all(kind == "e" for kind, *_ in m._theta)
+        assert all(op != "ftheta" for op, _ in m._powers)
+        assert all(kind == "e" for kind, *_ in m._theta)
 
 
 def test_theta_augmentation_is_idempotent_surface(a1):
@@ -246,7 +246,7 @@ def test_lemma_orthogonal_split_mini(a1):
         ker_dims = 0
         im_dims = 0
         for beta in module.basis_index:
-            ker_dims += power_kernel(module, "f0", p, beta).cols
+            ker_dims += operator_power_block(module, "f0", p, beta).kernel().cols
             src = wsub(beta, (2 * p,))
             if src in module.basis_index:
                 im_dims += operator_power_block(module, "e0", p, src).rank()
@@ -262,8 +262,8 @@ def test_lemma_kernel_duality_mini(a2):
             pair = int(root_pairing(a2, beta, alpha))
             for p in range(max(0, -pair), 4):
                 assert (
-                    power_kernel(module, e_op, p, beta).cols
-                    == power_kernel(module, f_op, p + pair, beta).cols
+                    operator_power_block(module, e_op, p, beta).kernel().cols
+                    == operator_power_block(module, f_op, p + pair, beta).kernel().cols
                 )
 
 
