@@ -243,12 +243,18 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument("--cache-dir", default=None)
-    common.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
-    common.add_argument("--max-fz-dim", type=int, default=DEFAULT_FZ_CAP)
+    common.add_argument("--max-dim", type=_positive_int, default=DEFAULT_DIM_CAP)
+    common.add_argument("--max-fz-dim", type=_positive_int, default=DEFAULT_FZ_CAP)
 
     parser = argparse.ArgumentParser(
         prog="fusionkit",

@@ -24,7 +24,7 @@ from .errors import InternalError, PreconditionError
 from .rootdata import (
     RootSystem,
     Weight,
-    dominant_in_orbit,
+    fold_dominant,
     in_root_lattice_below,
     is_dominant,
     wadd,
@@ -103,7 +103,7 @@ def _support(rs: RootSystem, lam: Weight) -> tuple[dict[Weight, int], dict[Weigh
             for a in rs.simple_roots:
                 cand = wsub(nu, a)
                 if cand not in depths:
-                    rep = dominant_in_orbit(rs, cand)
+                    rep = fold_dominant(rs, cand)[0]
                     if in_root_lattice_below(rs, rep, lam):
                         depths[cand], reps[cand] = d + 1, rep
                         nxt.append(cand)

@@ -59,7 +59,6 @@ class RepModule:
     _raising: dict[tuple[int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
     _theta_steps: dict[str, tuple[tuple[Weight, Weight], ...]] | None = field(default=None)
     _theta: dict[tuple[str, int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
-    _ops: dict[str, tuple[str, int | None, Weight]] = field(default_factory=dict, repr=False)
     _powers: dict[tuple[str, Weight], tuple[RationalMatrix, ...]] = field(
         default_factory=dict, repr=False
     )
@@ -247,12 +246,7 @@ def _theta_block(module: RepModule, kind: str, m: int, src: Weight) -> RationalM
 
 
 def _parse_op(module: RepModule, op: str) -> tuple[str, int | None, Weight]:
-    """(kind, simple index or None for theta, weight shift) of an id like "e0" or "ftheta".
-
-    Memoised per module; only valid ids are stored, so a bad id raises on every call.
-    """
-    if op in module._ops:
-        return module._ops[op]
+    """(kind, simple index or None for theta, weight shift) of an id like "e0" or "ftheta"."""
     rs = module.root_system
     kind, idx = op[:1], op[1:]
     if op in ("etheta", "ftheta"):
@@ -265,8 +259,7 @@ def _parse_op(module: RepModule, op: str) -> tuple[str, int | None, Weight]:
         raise PreconditionError(f"operator index {int(idx)} out of range for {rs}")
     else:
         i, shift = int(idx), rs.simple_roots[int(idx)]
-    got = module._ops[op] = kind, i, (shift if kind == "e" else wneg(shift))
-    return got
+    return kind, i, (shift if kind == "e" else wneg(shift))
 
 
 def _block(module: RepModule, kind: str, i: int | None, src: Weight) -> RationalMatrix:

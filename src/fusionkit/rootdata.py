@@ -17,6 +17,7 @@ from fractions import Fraction
 from operator import add, mul, neg, sub
 
 from .errors import CapExceededError, InternalError, PreconditionError, UnsupportedTypeError
+from .linalg import RationalMatrix
 
 Weight = tuple[int, ...]
 
@@ -109,6 +110,16 @@ def _reflect_rows(simple, i: int, m):
     return tuple(rows)
 
 
+def _fold(simple_roots, x: Weight, skip: int | None = None) -> tuple[Weight, int]:
+    """Reflect x at its first negative coordinate but ``skip`` until none: (point, reflections)."""
+    steps = 0
+    while (i := next((i for i, c in enumerate(x) if c < 0 and i != skip), None)) is not None:
+        c = x[i]
+        x = tuple([a - c * b for a, b in zip(x, simple_roots[i])])
+        steps += 1
+    return x, steps
+
+
 # -- Dynkin diagram data -----------------------------------------------------
 
 def _dynkin(series: str, rank: int):
@@ -141,18 +152,16 @@ class RootSystem:
 
     ``cartan_matrix`` is oriented so its columns are the simple roots in
     fundamental-weight coordinates. ``sym_form`` holds the Gram matrix
-    (lam_i, lam_j) of the fundamental weights. ``cartan_inverse_num`` is
-    ``cartan_inverse`` times its common denominator ``cartan_inverse_den``,
+    (lam_i, lam_j) of the fundamental weights. ``cartan_inverse_num`` is the
+    inverse Cartan matrix times its common denominator ``cartan_inverse_den``,
     so simple-root coordinates are integer sums over one integer divisor.
     """
 
     cartan_type: CartanType
     cartan_matrix: tuple[tuple[int, ...], ...]
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
     cartan_inverse_num: tuple[tuple[int, ...], ...]
     cartan_inverse_den: int
     simple_roots: tuple[Weight, ...]
-    root_halfnorms: tuple[Fraction, ...]  # d_i = (alpha_i, alpha_i)/2
     sym_form: tuple[tuple[Fraction, ...], ...]
     positive_roots: tuple[Weight, ...]
     theta: Weight
@@ -161,8 +170,6 @@ class RootSystem:
     comarks: tuple[int, ...]
     rho: Weight
     dual_coxeter: int
-    w0_word: tuple[int, ...]
-    w0_matrix: tuple[tuple[int, ...], ...]
     dual_permutation: tuple[int, ...]
 
     @property
@@ -245,10 +252,7 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     cartan = tuple(cartan)
     simple = [tuple(cartan[j][i] for j in range(rank)) for i in range(rank)]
 
-    from .linalg import RationalMatrix
-
     minv = RationalMatrix(cartan).inverse()
-    cartan_inverse = tuple(tuple(minv.row(i)) for i in range(rank))
     # sym_form G solves G @ M = diag(d), i.e. (lam_i, alpha_j) = d_j delta_ij
     sym = tuple(tuple(d[i] * minv[i, j] for j in range(rank)) for i in range(rank))
     if any(sym[i][j] != sym[j][i] for i in range(rank) for j in range(rank)):
@@ -283,45 +287,24 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     path.reverse()
 
     rho = (1,) * rank
-
-    def _form(a: Weight, b: Weight) -> Fraction:
-        return sum(sym[i][j] * a[i] * b[j] for i in range(rank) for j in range(rank))
-
-    if _form(theta, theta) != 2:
-        raise InternalError(f"(theta, theta) = {_form(theta, theta)} in {t}, not 2")
-    dual_coxeter = 1 + sum(comarks)
-
-    # fold -rho to dominance; the recorded word is reduced and gives w0
-    x = wneg(rho)
-    word: list[int] = []
-    while True:
-        ineg = next((i for i, c in enumerate(x) if c < 0), None)
-        if ineg is None:
-            break
-        word.append(ineg)
-        c = x[ineg]
-        x = tuple(a - c * b for a, b in zip(x, simple[ineg]))
-    if x != rho or len(word) != len(positive):
-        raise InternalError(f"folding -rho of {t} gave {x} after {len(word)} reflections")
-    w0 = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    for i in reversed(word):
-        w0 = _reflect_rows(simple, i, w0)
-    sigma = []
-    for i in range(rank):
-        img = wneg(apply_matrix(w0, simple[i]))
-        sigma.append(simple.index(img))
-    sigma = tuple(sigma)
+    x, steps = _fold(simple, wneg(rho))
+    if x != rho or steps != len(positive):
+        raise InternalError(f"folding -rho of {t} gave {x} after {steps} reflections")
+    # -w0 omega_i = omega_sigma(i) is the one dominant point of the orbit of -omega_i
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    images = [_fold(simple, wneg(omega))[0] for omega in units]
+    if any(image not in units for image in images):
+        raise InternalError(f"-w0 sends the fundamental weights of {t} to {images}")
+    sigma = tuple(map(units.index, images))
     if any(sigma[sigma[i]] != i for i in range(rank)):
         raise InternalError(f"-w0 on the simple roots of {t} is not an involution: {sigma}")
 
     rs = RootSystem(
         cartan_type=t,
         cartan_matrix=cartan,
-        cartan_inverse=cartan_inverse,
         cartan_inverse_num=minv.num,
         cartan_inverse_den=minv.den,
         simple_roots=tuple(simple),
-        root_halfnorms=tuple(d),
         sym_form=sym,
         positive_roots=tuple(positive),
         theta=theta,
@@ -329,11 +312,11 @@ def build_root_system(t: CartanType | str) -> RootSystem:
         marks=tuple(marks),
         comarks=tuple(comarks),
         rho=rho,
-        dual_coxeter=dual_coxeter,
-        w0_word=tuple(word),
-        w0_matrix=w0,
+        dual_coxeter=1 + sum(comarks),
         dual_permutation=sigma,
     )
+    if form(rs, theta, theta) != 2:
+        raise InternalError(f"(theta, theta) = {form(rs, theta, theta)} in {t}, not 2")
     with _MEMO_LOCK:
         _ROOT_SYSTEM_MEMO.setdefault(key, rs)
     return _ROOT_SYSTEM_MEMO[key]
@@ -421,32 +404,21 @@ def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
 def simple_current(rs: RootSystem, k: int, j: int, lam: Weight) -> Weight:
     """J_j lam = k omega_j + w0^(j) w0 lam, the level-k simple current of node j.
 
-    w0 lam = -lam* is antidominant, so w0^(j), the longest element of the Weyl
-    group of the simple roots other than alpha_j, takes it to the point of its
-    orbit dominant for those roots: the fold below. Only nodes with mark 1 carry
-    a current; comark 1 is not enough (the short nodes of B_n and C_n, and one
-    node each of G2 and F4, have comark 1 and no current).
+    w0^(j), the longest element of the Weyl group of the simple roots other than
+    alpha_j, takes the antidominant w0 lam = -lam* to its fold by the reflections
+    other than r_j. Only nodes with mark 1 carry a current; comark 1 is not enough
+    (the short nodes of B_n and C_n, and one node each of G2 and F4, have comark 1).
     """
     if rs.marks[j] != 1:
         raise PreconditionError(f"node {j} of {rs} has mark {rs.marks[j]} and no simple current")
-    x = wneg(dual_weight(rs, lam))
-    while (i := next((i for i, c in enumerate(x) if c < 0 and i != j), None)) is not None:
-        x = reflect(rs, i, x)
+    x = _fold(rs.simple_roots, wneg(dual_weight(rs, lam)), skip=j)[0]
     return tuple(c + k if i == j else c for i, c in enumerate(x))
 
 
 def fold_dominant(rs: RootSystem, x: Weight) -> tuple[Weight, int]:
     """The dominant point of the W-orbit of x, and (-1)^(simple reflections taken to reach it)."""
-    sign = 1
-    while (i := next((i for i, c in enumerate(x) if c < 0), None)) is not None:
-        x = reflect(rs, i, x)
-        sign = -sign
-    return x, sign
-
-
-def dominant_in_orbit(rs: RootSystem, mu: Weight) -> Weight:
-    """The unique dominant weight in the W-orbit of mu (no rho shift)."""
-    return fold_dominant(rs, mu)[0]
+    x, steps = _fold(rs.simple_roots, x)
+    return x, -1 if steps % 2 else 1
 
 
 def make_dominant(rs: RootSystem, mu: Weight) -> tuple[Weight, int]:

@@ -14,13 +14,13 @@ diagrams.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from operator import sub
 
 from .errors import InternalError, PreconditionError
 from .multiplicity import WeightDiagram, weight_diagram
 from .rootdata import (
-    _MEMO_LOCK,
     RootSystem,
     Weight,
     apply_matrix,
@@ -56,6 +56,7 @@ def _require_dominant(*weights: Weight) -> None:
 
 
 _ORBIT_MEMO: dict[tuple[str, Weight], tuple[Weight, ...]] = {}
+_ORBIT_LOCK = threading.Lock()
 
 
 def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> tuple[Weight, ...]:
@@ -64,7 +65,7 @@ def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> tuple[Weight, ...]:
     got = _ORBIT_MEMO.get(key)
     if got is None:
         points = tuple(apply_matrix(mat, mu_rho) for mat, _ in group)
-        with _MEMO_LOCK:
+        with _ORBIT_LOCK:
             got = _ORBIT_MEMO.setdefault(key, points)
     return got
 

@@ -222,6 +222,16 @@ def test_fusion_accepts_double_dash_before_weights(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("option", ["--max-dim", "--max-fz-dim"])
+@pytest.mark.parametrize("argv", [("fusion", "A1", "--level", "1"), ("weights", "A1", "1")])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_caps_must_be_positive_integers(capsys, tmp_path, option, argv, value):
+    code = main([*argv, option, value, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"argument {option}: '{value}' is not a positive integer" in captured.err
+
+
 @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
 def test_jobs_option_is_a_parse_error(capsys, tmp_path, jobs):
     """Tables are built in one process; there is no --jobs option."""

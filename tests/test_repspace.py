@@ -189,18 +189,21 @@ def test_power_block_validation(a2):
         operator_power_block(module, "e7", 1, (1, 0))
 
 
-def test_parsed_operator_ids_are_memoised_and_bad_ids_raise_every_time(a2):
+def test_bad_operator_ids_raise_every_time_and_valid_ids_give_equal_blocks(a2):
     module = build_module(a2, (1, 1))  # no theta operators attached
     for _ in range(2):
         for op in ("q0", "e7", "e", "etheta"):
             with pytest.raises(PreconditionError):
                 operator_power_block(module, op, 2, (1, 1))
-    assert module._ops == {}
     assert operator_power_block(module, "f0", 2, (1, 1)) == operator_power_block(module, "f0", 2, (1, 1))
-    assert module._ops == {"f0": ("f", 0, wneg(a2.simple_roots[0]))}
     build_theta_operators(a2, module)
-    operator_power_block(module, "etheta", 1, (-1, -1))
-    assert module._ops["etheta"] == ("e", None, a2.theta)
+    with pytest.raises(PreconditionError):
+        operator_power_block(module, "q0", 2, (1, 1))
+    up = operator_power_block(module, "etheta", 1, (-1, -1))
+    assert (up.rows, up.cols) == (2, 1) and not up.is_zero()  # V_(-1,-1) -> V_(0,0)
+    assert operator_power_block(module, "etheta", 1, (-1, -1)) == up
+    assert operator_power_block(module, "etheta", 2, (-1, -1)) == \
+        operator_power_block(module, "etheta", 1, (0, 0)) @ up
 
 
 def test_dimension_cap(a2):

@@ -16,17 +16,19 @@ from fusionkit import (
     reflect,
     weyl_elements,
 )
+from fusionkit.linalg import RationalMatrix
 from fusionkit.rootdata import (
     WEYL_ORDER_CAP,
     CartanType,
     apply_matrix,
-    dominant_in_orbit,
+    fold_dominant,
     wadd,
     wneg,
     wsub,
 )
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
+DENSE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
 
 
 def _mul(a, b):
@@ -122,12 +124,23 @@ def test_theta_is_maximal_root(name):
         assert in_root_lattice_below(rs, beta, rs.theta)
 
 
+def _w0_word(rs):
+    """The reduced word of w0 read off by folding -rho to rho at the first negative coordinate."""
+    x, word = wneg(rs.rho), []
+    while (i := next((i for i, c in enumerate(x) if c < 0), None)) is not None:
+        word.append(i)
+        x = reflect(rs, i, x)
+    assert x == rs.rho and len(word) == len(rs.positive_roots)
+    return word
+
+
 @pytest.mark.parametrize("name", TYPES)
 def test_w0_word_negates_and_permutes_simples(name):
     rs = build_root_system(name)
+    word = _w0_word(rs)
     for i, alpha in enumerate(rs.simple_roots):
         image = alpha
-        for j in reversed(rs.w0_word):
+        for j in reversed(word):
             image = reflect(rs, j, image)
         assert image == wneg(rs.simple_roots[rs.dual_permutation[i]])
 
@@ -225,22 +238,46 @@ def _dense_weyl_elements(rs):
     return elements
 
 
-@pytest.mark.parametrize(
-    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
-)
+@pytest.mark.parametrize("name", DENSE_TYPES)
 def test_weyl_elements_listed_as_by_dense_products(name):
     rs = build_root_system(name)
     assert weyl_elements(rs) == _dense_weyl_elements(rs)  # same elements, order and signs
 
 
-@pytest.mark.parametrize("name", TYPES + ["D5", "E6", "E7", "E8"])
+@pytest.mark.parametrize("name", TYPES)
 def test_w0_matrix_is_the_dense_product_of_its_word(name):
+    """The element of ``weyl_elements`` sending rho to -rho is the dense product of w0's word."""
     rs = build_root_system(name)
     refls = _dense_reflections(rs)
-    w0 = refls[rs.w0_word[0]]
-    for i in rs.w0_word[1:]:
+    word = _w0_word(rs)
+    w0 = refls[word[0]]
+    for i in word[1:]:
         w0 = _mul(w0, refls[i])
-    assert rs.w0_matrix == w0
+    neg_rho = wneg(rs.rho)
+    listed = [(mat, sign) for mat, sign in weyl_elements(rs) if apply_matrix(mat, rs.rho) == neg_rho]
+    assert listed == [(w0, -1 if len(word) % 2 else 1)]
+
+
+@pytest.mark.parametrize("name", DENSE_TYPES)
+def test_dual_permutation_is_minus_w0_on_fundamental_weights(name):
+    """-w0 omega_i = omega_sigma(i), with w0 the element of the dense W that sends rho to -rho."""
+    rs = build_root_system(name)
+    (w0,) = [mat for mat, _ in _dense_weyl_elements(rs) if apply_matrix(mat, rs.rho) == wneg(rs.rho)]
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    for i, omega in enumerate(units):
+        assert wneg(apply_matrix(w0, omega)) == units[rs.dual_permutation[i]]
+
+
+@pytest.mark.parametrize(
+    "name,sigma",
+    [("E6", (5, 1, 4, 3, 2, 0)), ("E7", tuple(range(7))), ("E8", tuple(range(8)))],
+    ids=["E6", "E7", "E8"],
+)
+def test_dual_permutation_of_e_types_preserves_the_cartan_matrix(name, sigma):
+    rs = build_root_system(name)
+    assert rs.dual_permutation == sigma
+    m, n = rs.cartan_matrix, rs.rank
+    assert all(m[sigma[i]][sigma[j]] == m[i][j] for i in range(n) for j in range(n))
 
 
 def test_dual_weight_examples(a1, a2):
@@ -289,7 +326,7 @@ def test_dominant_in_orbit(a2):
     rng = random.Random(9)
     for _ in range(30):
         mu = tuple(rng.randint(-4, 4) for _ in range(2))
-        rep = dominant_in_orbit(a2, mu)
+        rep = fold_dominant(a2, mu)[0]
         assert all(c >= 0 for c in rep)
         assert any(apply_matrix(m, mu) == rep for m, _ in weyl_elements(a2))
 
@@ -330,11 +367,12 @@ def test_root_lattice_depth_matches_rational_simple_root_coordinates(name):
     from fusionkit.rootdata import root_lattice_depth
 
     rs = build_root_system(name)
+    minv = RationalMatrix(rs.cartan_matrix).inverse()
     rng = random.Random(13)
     zero = (0,) * rs.rank
     for _ in range(100):
         w = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
-        coords = [sum(a * b for a, b in zip(row, w)) for row in rs.cartan_inverse]
+        coords = [sum(a * b for a, b in zip(minv.row(i), w)) for i in range(rs.rank)]
         expect = int(sum(coords)) if all(c.denominator == 1 and c >= 0 for c in coords) else None
         assert root_lattice_depth(rs, zero, w) == expect
     for alpha in rs.positive_roots:
