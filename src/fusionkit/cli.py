@@ -21,12 +21,12 @@ from .fusion import (
     DEFAULT_FZ_CAP,
     FUSION_BACKENDS,
     FusionTable,
+    alcove_dims,
     check_fz_cap,
     fusion_coefficient,
     fusion_coefficient_via_fz,
     fusion_table,
     kac_walton_coefficient,
-    level_alcove,
 )
 from .multiplicity import weight_diagram
 from .repspace import DEFAULT_DIM_CAP, check_dim_cap
@@ -187,8 +187,8 @@ def cmd_fusion(args) -> int:
     rs = build_root_system(args.type)
     k = args.level
     triple = tuple(parse_weight(t, rs.rank) for t in args.triple)
-    alcove = None if triple else level_alcove(rs, k)
-    _check_dims(rs, triple or alcove, args)
+    alcove = None if triple else list(alcove_dims(rs, k, args.max_dim))
+    _check_dims(rs, triple, args)
     backends = FUSION_BACKENDS if args.backend == "all" else (args.backend,)
     if triple:
         triples = [triple]

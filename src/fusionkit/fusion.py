@@ -91,6 +91,19 @@ def level_alcove(rs: RootSystem, k: int) -> list[Weight]:
     return sorted(out)
 
 
+def alcove_dims(rs: RootSystem, k: int, max_dim: int) -> dict[Weight, int]:
+    """{w: dim V^w} over the level-k alcove, in ``level_alcove`` order, or CapExceededError.
+
+    The vertices floor(k / a_j) omega_j are checked before the alcove is listed:
+    each lies in the alcove, and the Weyl dimension grows in every coordinate,
+    so a vertex over ``max_dim`` refuses the table whatever its size.
+    """
+    check_level(k)
+    for j, a in enumerate(rs.comarks):
+        check_dim_cap(rs, tuple(k // a * (i == j) for i in range(rs.rank)), max_dim)
+    return {w: check_dim_cap(rs, w, max_dim) for w in level_alcove(rs, k)}
+
+
 def _check_triple(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight) -> Triple:
     """(lam, mu, nu) as tuples, after checking the level and that each is in the level-k alcove."""
     check_level(k)
@@ -110,7 +123,7 @@ def _constrained_dimension(module: RepModule, beta: Weight,
     """dim{v in V^lam_beta : op^p v = 0 for every (op, p) in constraints}."""
     dim = module.dim_at(beta)
     blocks = [operator_power_block(module, op, p, beta) for op, p in constraints]
-    return dim - RationalMatrix.stack_numerators(blocks, dim).rank()
+    return dim - RationalMatrix.vstack(blocks, dim).rank()
 
 
 def _prv_constraints(mu: Weight) -> list[tuple[str, int]]:
@@ -399,17 +412,18 @@ def fusion_table(rs: RootSystem, k: int, backend: str = "walton",
     """The full level-k table, built one (lam, mu) row at a time.
 
     Every alcove weight is checked against ``max_dim`` first, on every
-    backend. ``walton`` (production) ranks one Walton space per S3 x
-    simple-current class of nonzero cells, on the member ``fusion_coefficient``
-    would choose, and writes its value into every member; ``kacwalton`` folds
-    one tensor decomposition per row; ``fz`` runs the Frenkel-Zhu oracle on
-    every cell, except in the rows its caps refuse, which it lists in
-    ``skipped``. The two oracles use no symmetry.
+    backend, by ``alcove_dims``. ``walton`` (production) ranks one Walton
+    space per S3 x simple-current class of nonzero cells, on the member
+    ``fusion_coefficient`` would choose, and writes its value into every
+    member; ``kacwalton`` folds one tensor decomposition per row; ``fz`` runs
+    the Frenkel-Zhu oracle on every cell, except in the rows its caps refuse,
+    which it lists in ``skipped``. The two oracles use no symmetry.
     """
-    alcove = level_alcove(rs, k)
+    check_level(k)
     if backend not in FUSION_BACKENDS:
         raise ParseError(f"unknown backend {backend!r}; choose from {', '.join(FUSION_BACKENDS)}")
-    dims = {w: check_dim_cap(rs, w, max_dim) for w in alcove}
+    dims = alcove_dims(rs, k, max_dim)
+    alcove = list(dims)
     # row(lam, mu) -> {nu: N^(k)nu_{lam,mu}}, absent nu counting as 0
     if backend == "walton":
         rows = _walton_cells(rs, k, alcove, dims, max_dim)

@@ -6,16 +6,15 @@ and all numerators have gcd 1 (a zero matrix has ``den == 1``); that form is
 unique for each rational matrix, so equality and hashing go by value.
 Products, sums, scaling, Kronecker products and the three structural
 primitives work on the numerators with Python ints: ``block`` assembles
-sparse blocks over one common denominator (``vstack`` is its one-column
-case; ``stack_numerators`` stacks rows for rank and kernel without it),
-``select`` takes a submatrix, and ``rref`` returns the pivot columns
-and the nonzero rows of the reduced row echelon form. Rank and the
-positive-definiteness test use fraction-free Bareiss elimination (Bareiss
-1968); ``rref``, kernels and inverses use its Gauss-Jordan variant, after
-which every pivot equals one integer d and the reduced row echelon form is
-the integer matrix over d. Nothing is ever approximate. ``data``, ``row``,
-``column`` and ``m[i, j]`` hand out ``fractions.Fraction`` entries, built on
-first use.
+sparse blocks over one common denominator (``vstack``, its one-column case,
+is the one stack), ``select`` takes a submatrix, and ``rref`` returns the
+pivot columns and the nonzero rows of the reduced row echelon form.
+``rref``, ``rank``, ``kernel`` and ``inverse`` run one fraction-free
+Gauss-Jordan elimination (Bareiss 1968), after which every pivot equals one
+integer d and the reduced row echelon form is the integer matrix over d.
+The positive-definiteness test is Sylvester's criterion by Bareiss
+elimination without row swaps. Nothing is ever approximate. ``data`` and
+``m[i, j]`` hand out ``fractions.Fraction`` entries, built on first use.
 
 Matrices with zero rows or zero columns are legal and behave as the empty
 linear map; a zero-row matrix is the zero map into a zero-dimensional space,
@@ -127,21 +126,6 @@ class RationalMatrix:
             cols = mats[0].cols
         return cls.block([m.rows for m in mats], [cols], {(r, 0): m for r, m in enumerate(mats)})
 
-    @classmethod
-    def stack_numerators(cls, mats: Iterable["RationalMatrix"], cols: int) -> "RationalMatrix":
-        """The blocks' integer numerator rows stacked over denominator 1.
-
-        Each row is a positive multiple of the same row of ``vstack(mats)``, so
-        rank and kernel are those of the stack, without rescaling every block
-        to a common denominator and normalising the result.
-        """
-        num = []
-        for m in mats:
-            if m.cols != cols:
-                raise ValueError(f"a {m.rows}x{m.cols} block in a stack of width {cols}")
-            num.extend(m.num)
-        return cls._from_ints(tuple(num), 1, len(num), cols)
-
     @property
     def data(self) -> tuple[tuple[Q, ...], ...]:
         got = self._data
@@ -169,12 +153,6 @@ class RationalMatrix:
     def __getitem__(self, key) -> Q:
         i, j = key
         return Q(self.num[i][j], self.den)
-
-    def row(self, i: int) -> tuple[Q, ...]:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple[Q, ...]:
-        return tuple(row[j] for row in self.data)
 
     def select(self, rows: Iterable[int], cols: Iterable[int]) -> "RationalMatrix":
         """The submatrix on the given row and column indices, in the order given."""
@@ -238,26 +216,8 @@ class RationalMatrix:
         return not any(map(any, self.num))
 
     def rank(self) -> int:
-        """Bareiss elimination below the pivots; only the pivot count is kept."""
-        m = [list(row) for row in self.num if any(row)]
-        n = len(m)
-        r = 0
-        prev = 1
-        for c in range(self.cols):
-            if r == n:
-                break
-            pr = next((i for i in range(r, n) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            prow = m[r]
-            p = prow[c]
-            for i in range(r + 1, n):
-                row = m[i]
-                row[c + 1:] = _bareiss_step(row[c + 1:], prow[c + 1:], p, row[c], prev)
-            prev = p
-            r += 1
-        return r
+        """The number of pivots Gauss-Jordan finds on the nonzero rows."""
+        return len(_gauss_jordan([list(row) for row in self.num if any(row)], self.cols)[1])
 
     def rref(self) -> tuple[list[int], "RationalMatrix"]:
         """Pivot columns and the nonzero rows of the reduced row echelon form.

@@ -61,11 +61,11 @@ class SuiteReport:
         return f"{self.name}: {verdict} ({self.checks} checks, {len(self.failures)} failures)"
 
 
-def verify_sl2_closed_form(k_max: int = 8) -> SuiteReport:
-    """Walton dimensions on sl2 against the level-truncation predicate."""
+def verify_sl2_closed_form() -> SuiteReport:
+    """Walton dimensions on sl2 at levels 1..8 against the level-truncation predicate."""
     report = SuiteReport("sl2-closed-form")
     rs = build_root_system("A1")
-    for k in range(1, k_max + 1):
+    for k in range(1, 9):
         for n1 in range(k + 1):
             for n2 in range(k + 1):
                 for i in range(n1 + 1):
@@ -164,8 +164,7 @@ _THREE_WAY_RANGES = (("A1", (1, 2, 3, 4)), ("A2", (1, 2)))
 
 
 def verify_three_way(restrict_type: str | None = None,
-                     restrict_level: int | None = None,
-                     fz_cap: int = 400) -> SuiteReport:
+                     restrict_level: int | None = None) -> SuiteReport:
     """walton == kac-walton on every triple; walton == fz under the FZ cap."""
     report = SuiteReport("three-way")
     for name, levels in _THREE_WAY_RANGES:
@@ -175,7 +174,7 @@ def verify_three_way(restrict_type: str | None = None,
         for k in levels:
             if restrict_level is not None and k != restrict_level:
                 continue
-            tables = {b: fusion_table(rs, k, b, max_fz_dim=fz_cap) for b in FUSION_BACKENDS}
+            tables = {b: fusion_table(rs, k, b) for b in FUSION_BACKENDS}
             walton = tables.pop("walton")
             for lam, mu, nu in itertools.product(walton.alcove, repeat=3):
                 w = walton.coefficient(lam, mu, nu)

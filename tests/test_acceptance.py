@@ -24,7 +24,7 @@ def _gate(number: int, name: str, report) -> None:
 
 def test_criterion_1_sl2_closed_form():
     # all 0 <= n1, n2 <= k <= 8 and all valid i, exact 0/1 match
-    _gate(1, "sl2-closed-form", verify_sl2_closed_form(k_max=8))
+    _gate(1, "sl2-closed-form", verify_sl2_closed_form())
 
 
 def test_criterion_2_prv_equals_racah_speiser():

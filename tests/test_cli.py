@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fusionkit.fusion
 from fusionkit.cli import main
 
 
@@ -254,6 +255,14 @@ def test_tensor_respects_max_dim(capsys):
 def test_kacwalton_table_respects_max_dim(capsys):
     code, out = run(capsys, "fusion", "A2", "--level", "3", "--backend", "kacwalton",
                     "--max-dim", "5")
+    assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("name, k", [("A1", 10**9), ("A2", 1500), ("E8", 10**6)])
+def test_table_at_a_huge_level_is_refused_before_its_alcove_is_listed(
+        capsys, tmp_path, monkeypatch, name, k):
+    monkeypatch.setattr(fusionkit.fusion, "level_alcove", None)  # listing would exit 1
+    code, out = run(capsys, "fusion", name, "--level", str(k), "--cache-dir", str(tmp_path))
     assert code == 4 and out == ""
 
 

@@ -320,6 +320,15 @@ def test_fusion_table_refuses_an_alcove_weight_over_max_dim_on_every_backend(a2,
         fusion_table(a2, 3, backend=backend, max_dim=8)
 
 
+@pytest.mark.parametrize("backend", FUSION_BACKENDS)
+def test_fusion_table_at_a_huge_level_is_refused_before_its_alcove_is_listed(
+        a1, monkeypatch, backend):
+    monkeypatch.setattr(fusionkit.fusion, "level_alcove", None)  # listing would be a TypeError
+    # the vertex k omega_1 has dimension k + 1
+    with pytest.raises(CapExceededError, match=r"dim V\^\(1000000000,\) = 1000000001 > cap 3000"):
+        fusion_table(a1, 10**9, backend=backend)
+
+
 def test_fusion_table_unknown_backend_is_classified(a2):
     with pytest.raises(FusionkitError, match="unknown backend"):
         fusion_table(a2, 1, backend="nope")

@@ -372,7 +372,7 @@ def test_root_lattice_depth_matches_rational_simple_root_coordinates(name):
     zero = (0,) * rs.rank
     for _ in range(100):
         w = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
-        coords = [sum(a * b for a, b in zip(minv.row(i), w)) for i in range(rs.rank)]
+        coords = [sum(a * b for a, b in zip(minv.data[i], w)) for i in range(rs.rank)]
         expect = int(sum(coords)) if all(c.denominator == 1 and c >= 0 for c in coords) else None
         assert root_lattice_depth(rs, zero, w) == expect
     for alpha in rs.positive_roots:
