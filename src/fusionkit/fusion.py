@@ -113,9 +113,12 @@ def _check_triple(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight) -
     return triple
 
 
-def _require_weight(rs: RootSystem, lam: Weight, beta: Weight) -> None:
-    if beta not in weight_diagram(rs, lam).table:
+def _module_with_weight(rs: RootSystem, lam: Weight, beta: Weight, max_dim: int) -> RepModule:
+    """The shared V^lam, capped before its diagram is read, after checking beta is a weight of it."""
+    module = cached_module(rs, lam, max_dim)
+    if beta not in module.diagram.table:
         raise PreconditionError(f"beta = {beta} is not a weight of V^{lam}")
+    return module
 
 
 def _constrained_dimension(module: RepModule, beta: Weight,
@@ -140,8 +143,8 @@ def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
     for w, name in ((lam, "lam"), (mu, "mu"), (wadd(beta, mu), "beta+mu")):
         if not is_dominant(w):
             raise PreconditionError(f"{name} = {w} is not dominant")
-    _require_weight(rs, lam, beta)
-    return _constrained_dimension(cached_module(rs, lam, max_dim), beta, _prv_constraints(mu))
+    module = _module_with_weight(rs, lam, beta, max_dim)
+    return _constrained_dimension(module, beta, _prv_constraints(mu))
 
 
 def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weight,
@@ -151,11 +154,11 @@ def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weig
     lam, beta, mu = tuple(lam), tuple(beta), tuple(mu)
     _require_alcove(rs, k, lam, "lam")
     _require_alcove(rs, k, mu, "mu")
-    _require_weight(rs, lam, beta)
+    module = _module_with_weight(rs, lam, beta, max_dim)
     top = wadd(beta, mu)
     _require_alcove(rs, k, top, "beta+mu")
     constraints = _prv_constraints(mu) + [("etheta", k - theta_pairing(rs, top) + 1)]
-    return _constrained_dimension(cached_module(rs, lam, max_dim), beta, constraints)
+    return _constrained_dimension(module, beta, constraints)
 
 
 def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
@@ -167,9 +170,9 @@ def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weig
     never larger than V^lam. ``walton_dimension`` is the symmetry-free form.
     """
     lam, mu, nu = _check_triple(rs, k, lam, mu, nu)
+    check_dim_cap(rs, lam, max_dim)
     if wsub(nu, mu) not in weight_diagram(rs, lam).table:
         return 0
-    check_dim_cap(rs, lam, max_dim)
     nodes = [j for j, m in enumerate(rs.marks) if m == 1]
     orbit = cache(lambda w: (w, *(simple_current(rs, k, j, w) for j in nodes)))  # [x] is J_x w
     triples = _equivalent_triples(rs, lam, mu, nu, orbit)

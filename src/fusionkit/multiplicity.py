@@ -14,7 +14,6 @@ at arbitrary arguments.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from math import lcm, prod
 from operator import mul
@@ -27,6 +26,7 @@ from .rootdata import (
     fold_dominant,
     in_root_lattice_below,
     is_dominant,
+    shared,
     wadd,
     weyl_orbit,
     wsub,
@@ -59,17 +59,14 @@ def _weyl_functionals(rs: RootSystem) -> tuple[tuple, tuple, int]:
     D ``sym_form``, the integer functionals D (., alpha) per positive root and
     prod_alpha D (rho, alpha); the D's cancel in every quotient taken here.
     """
-    key = str(rs.cartan_type)
-    got = _WEYL_FUNCTIONALS.get(key)
-    if got is None:
-        den = lcm(*(x.denominator for row in rs.sym_form for x in row))
-        sym = tuple(tuple(int(x * den) for x in row) for row in rs.sym_form)
-        funcs = tuple(
-            tuple(sum(map(mul, row, alpha)) for row in sym) for alpha in rs.positive_roots
-        )
-        denom = prod(sum(map(mul, f, rs.rho)) for f in funcs)
-        got = _WEYL_FUNCTIONALS.setdefault(key, (sym, funcs, denom))
-    return got
+    return shared(_WEYL_FUNCTIONALS, str(rs.cartan_type), lambda: _scaled_functionals(rs))
+
+
+def _scaled_functionals(rs: RootSystem) -> tuple[tuple, tuple, int]:
+    den = lcm(*(x.denominator for row in rs.sym_form for x in row))
+    sym = tuple(tuple(int(x * den) for x in row) for row in rs.sym_form)
+    funcs = tuple(tuple(sum(map(mul, row, alpha)) for row in sym) for alpha in rs.positive_roots)
+    return sym, funcs, prod(sum(map(mul, f, rs.rho)) for f in funcs)
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
@@ -140,20 +137,12 @@ def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
 
 
 _DIAGRAM_MEMO: dict[tuple[str, Weight], WeightDiagram] = {}
-_DIAGRAM_LOCK = threading.Lock()
 
 
 def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
-    """Full weight diagram of V^lam, memoised: the production form of freudenthal_diagram."""
+    """Full weight diagram of V^lam, shared: the production form of freudenthal_diagram."""
     lam = tuple(lam)
-    key = (str(rs.cartan_type), lam)
-    got = _DIAGRAM_MEMO.get(key)
-    if got is not None:
-        return got
-    diagram = freudenthal_diagram(rs, lam)
-    with _DIAGRAM_LOCK:
-        _DIAGRAM_MEMO.setdefault(key, diagram)
-    return _DIAGRAM_MEMO[key]
+    return shared(_DIAGRAM_MEMO, (str(rs.cartan_type), lam), lambda: freudenthal_diagram(rs, lam))
 
 
 def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:

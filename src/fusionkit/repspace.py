@@ -17,9 +17,10 @@ module action.
 Weight spaces are built on demand: reading V_beta builds it and every unbuilt
 weight above it (its upper cone, gamma - beta in Q+), in the same (depth,
 weight) order and by the same step, so every block equals that of the complete
-module. The public maps complete the module first. e_theta and f_theta are
-nested commutators of the simple raisings and lowerings, taken one source
-weight at a time and memoised on the module.
+module. The public maps complete the module first. Every module comes with
+e_theta and f_theta, nested commutators of the simple raisings and lowerings
+taken one source weight at a time and memoised on the module. ``cached_module``
+checks the cap on every call and shares one module per (type, lam).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import le
 from .errors import CapExceededError, InternalError, PreconditionError
 from .linalg import RationalMatrix
 from .multiplicity import WeightDiagram, weight_diagram, weyl_dimension
-from .rootdata import RootSystem, Weight, root_lattice_coords, wadd, wneg, wscale, wsub
+from .rootdata import RootSystem, Weight, root_lattice_coords, shared, wadd, wneg, wscale, wsub
 
 DEFAULT_DIM_CAP = 3000
 
@@ -77,16 +78,8 @@ class RepModule:
     gram = property(lambda self: _complete(self)._gram)
     lowering = property(lambda self: _complete(self)._lowering)
     raising = property(lambda self: _complete(self)._raising)
-
-    @property
-    def theta_raising(self) -> dict[Weight, RationalMatrix] | None:
-        """e_theta blocks once build_theta_operators has run, else None."""
-        return None if self._theta_steps is None else _theta_map(self, "etheta")
-
-    @property
-    def theta_lowering(self) -> dict[Weight, RationalMatrix]:
-        """f_theta blocks, once build_theta_operators has run."""
-        return _theta_map(self, "ftheta")
+    theta_raising = property(lambda self: _theta_map(self, "etheta"))
+    theta_lowering = property(lambda self: _theta_map(self, "ftheta"))
 
 
 def check_dim_cap(rs: RootSystem, lam: Weight, max_dim: int) -> int:
@@ -98,9 +91,9 @@ def check_dim_cap(rs: RootSystem, lam: Weight, max_dim: int) -> int:
 
 
 def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) -> RepModule:
-    """Start V^lam at its highest weight; rejects modules over the dimension cap.
+    """Start V^lam at its highest weight, with theta; rejects modules over the dimension cap.
 
-    The other weight spaces are built when they are first read.
+    The other weight spaces, and the theta blocks, are built when they are first read.
     """
     lam = tuple(lam)
     check_dim_cap(rs, lam, max_dim)
@@ -112,7 +105,7 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     module = RepModule(root_system=rs, highest=lam, diagram=diagram, _order=order)
     module._gram[lam] = RationalMatrix.identity(1)
     module._basis[lam] = ((),)
-    return module
+    return build_theta_operators(rs, module)
 
 
 def _complete(module: RepModule) -> RepModule:
@@ -196,8 +189,8 @@ def _build_weight(module: RepModule, beta: Weight) -> None:
 def build_theta_operators(rs: RootSystem, module: RepModule) -> RepModule:
     """Attach e_theta, the nested commutator of simple raisings along rs.theta_path.
 
-    Its blocks, and those of f_theta, are built one source weight at a time
-    when first read.
+    ``build_module`` ends here, and a second call changes nothing. The blocks
+    of e_theta and f_theta are built one source weight at a time when first read.
     """
     shifts, total = [], (0,) * rs.rank
     for i in rs.theta_path:
@@ -250,8 +243,6 @@ def _parse_op(module: RepModule, op: str) -> tuple[str, int | None, Weight]:
     rs = module.root_system
     kind, idx = op[:1], op[1:]
     if op in ("etheta", "ftheta"):
-        if module._theta_steps is None:
-            raise PreconditionError("theta operators not built for this module")
         i, shift = None, rs.theta
     elif kind not in ("e", "f") or not idx.isdigit():
         raise PreconditionError(f"unknown operator id {op!r}")
@@ -315,19 +306,10 @@ def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> Ra
 
 
 _MODULE_MEMO: dict[tuple[str, Weight], RepModule] = {}
-_MODULE_LOCK = threading.Lock()
 
 
 def cached_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) -> RepModule:
-    """Shared module with theta attached, built as far as it is read; cap still applies per call."""
+    """The shared V^lam, built as far as it is read; the cap is checked first on every call."""
     lam = tuple(lam)
-    key = (str(rs.cartan_type), lam)
-    got = _MODULE_MEMO.get(key)
-    if got is not None:
-        if got.dimension > max_dim:
-            raise CapExceededError(f"dim V^{lam} = {got.dimension} > cap {max_dim}")
-        return got
-    module = build_theta_operators(rs, build_module(rs, lam, max_dim))
-    with _MODULE_LOCK:
-        _MODULE_MEMO.setdefault(key, module)
-    return _MODULE_MEMO[key]
+    check_dim_cap(rs, lam, max_dim)
+    return shared(_MODULE_MEMO, (str(rs.cartan_type), lam), lambda: build_module(rs, lam, max_dim))

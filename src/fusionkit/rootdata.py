@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub
+from typing import TypeVar
 
 from .errors import CapExceededError, InternalError, PreconditionError, UnsupportedTypeError
 from .linalg import RationalMatrix
@@ -216,20 +218,33 @@ def _close_positive_roots(simple: list[Weight], rank: int):
     return ordered, alpha_coords, parent
 
 
-_ROOT_SYSTEM_MEMO: dict[str, RootSystem] = {}
-_WEYL_MEMO: dict[str, list[tuple[tuple[tuple[int, ...], ...], int]]] = {}
+T = TypeVar("T")
 _MEMO_LOCK = threading.Lock()
 
 
+def shared(memo: dict, key, build: Callable[[], T]) -> T:
+    """memo[key], or ``build()`` run outside the one lock and published under it; threads
+    that race on one key all get the first object published. Every fusionkit memo uses it."""
+    got = memo.get(key)
+    if got is None:
+        got = build()
+        with _MEMO_LOCK:
+            got = memo.setdefault(key, got)
+    return got
+
+
+_ROOT_SYSTEM_MEMO: dict[str, RootSystem] = {}
+_WEYL_MEMO: dict[str, list[tuple[tuple[tuple[int, ...], ...], int]]] = {}
+
+
 def build_root_system(t: CartanType | str) -> RootSystem:
-    """Construct the full root datum for a supported Cartan type."""
+    """The full root datum of a supported Cartan type, shared per type."""
     if isinstance(t, str):
         t = parse_cartan_type(t)
-    key = str(t)
-    got = _ROOT_SYSTEM_MEMO.get(key)
-    if got is not None:
-        return got
+    return shared(_ROOT_SYSTEM_MEMO, str(t), lambda: _root_system(t))
 
+
+def _root_system(t: CartanType) -> RootSystem:
     rank = t.rank
     edges, d = _dynkin(t.series, rank)
     pair_form = [[Fraction(0)] * rank for _ in range(rank)]
@@ -317,9 +332,7 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     )
     if form(rs, theta, theta) != 2:
         raise InternalError(f"(theta, theta) = {form(rs, theta, theta)} in {t}, not 2")
-    with _MEMO_LOCK:
-        _ROOT_SYSTEM_MEMO.setdefault(key, rs)
-    return _ROOT_SYSTEM_MEMO[key]
+    return rs
 
 
 # -- operations ---------------------------------------------------------------
@@ -364,10 +377,10 @@ def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int
 
     The only code that lists W, so the one place the Weyl-order cap applies.
     """
-    key = str(rs.cartan_type)
-    got = _WEYL_MEMO.get(key)
-    if got is not None:
-        return got
+    return shared(_WEYL_MEMO, str(rs.cartan_type), lambda: _list_weyl_group(rs))
+
+
+def _list_weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     if rs.weyl_order > WEYL_ORDER_CAP:
         raise CapExceededError(f"{rs} has Weyl group order {rs.weyl_order} > cap {WEYL_ORDER_CAP}")
     rank, simple = rs.rank, rs.simple_roots
@@ -390,9 +403,7 @@ def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int
         raise InternalError(
             f"built {len(elements)} Weyl group elements of {rs}, not {rs.weyl_order}"
         )
-    with _MEMO_LOCK:
-        _WEYL_MEMO.setdefault(key, elements)
-    return _WEYL_MEMO[key]
+    return elements
 
 
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:

@@ -14,7 +14,6 @@ diagrams.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from operator import sub
 
@@ -26,6 +25,7 @@ from .rootdata import (
     apply_matrix,
     is_dominant,
     root_lattice_depth,
+    shared,
     wadd,
     weyl_elements,
     wsub,
@@ -56,18 +56,12 @@ def _require_dominant(*weights: Weight) -> None:
 
 
 _ORBIT_MEMO: dict[tuple[str, Weight], tuple[Weight, ...]] = {}
-_ORBIT_LOCK = threading.Lock()
 
 
 def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> tuple[Weight, ...]:
     """w(mu_rho) for each w of ``group`` (the listed W of rs), in its order."""
-    key = (str(rs.cartan_type), mu_rho)
-    got = _ORBIT_MEMO.get(key)
-    if got is None:
-        points = tuple(apply_matrix(mat, mu_rho) for mat, _ in group)
-        with _ORBIT_LOCK:
-            got = _ORBIT_MEMO.setdefault(key, points)
-    return got
+    return shared(_ORBIT_MEMO, (str(rs.cartan_type), mu_rho),
+                  lambda: tuple(apply_matrix(mat, mu_rho) for mat, _ in group))
 
 
 def tensor_multiplicity(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight) -> int:

@@ -155,6 +155,22 @@ def test_verify_known_suites(capsys):
     assert "multiplicity: PASS" in out
 
 
+def test_verify_failures_print_ten_witnesses_and_a_count_of_the_rest(capsys, monkeypatch):
+    from fusionkit.verify import CLI_SUITES, SuiteReport
+
+    def failing():
+        report = SuiteReport("stability")
+        for i in range(15):
+            report.check(i >= 12, f"witness {i}")
+        return report
+
+    monkeypatch.setitem(CLI_SUITES, "stability", failing)
+    code, out = run(capsys, "verify", "stability")
+    assert code == 1
+    assert out.splitlines() == ["stability: FAIL (15 checks, 12 failures)",
+                                *(f"  witness {i}" for i in range(10)), "  ... 2 more"]
+
+
 def test_verify_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "nope")
     assert code == 2

@@ -25,6 +25,7 @@ from fusionkit import (
     weyl_dimension,
 )
 import fusionkit.fusion
+import fusionkit.multiplicity
 from fusionkit.errors import InternalError
 from fusionkit.fusion import (
     FUSION_BACKENDS,
@@ -329,6 +330,19 @@ def test_fusion_table_at_a_huge_level_is_refused_before_its_alcove_is_listed(
         fusion_table(a1, 10**9, backend=backend)
 
 
+def test_verify_axioms_reads_the_walton_table_cell_by_cell(monkeypatch):
+    """The axioms run on the Kac-Walton table, so a Walton class value that is off fails its
+    cells even though the Walton table still has every symmetry it writes by construction."""
+    from fusionkit.verify import verify_axioms
+
+    value = fusionkit.fusion._class_value
+    monkeypatch.setattr(fusionkit.fusion, "_class_value",
+                        lambda *args: value(*args) + (value(*args) == 2))
+    report = verify_axioms(restrict_type="A2", restrict_level=3)
+    assert report.failures
+    assert all("walton=3 kacwalton=2" in f for f in report.failures)
+
+
 def test_fusion_table_unknown_backend_is_classified(a2):
     with pytest.raises(FusionkitError, match="unknown backend"):
         fusion_table(a2, 1, backend="nope")
@@ -451,15 +465,35 @@ def test_the_g2_level_six_table_builds_at_most_458_weight_spaces(monkeypatch):
 
 
 def test_point_query_caps_apply_to_lam_as_before_routing(a2):
-    """CapExceededError exactly when nu - mu is a weight of V^lam and dim V^lam is over the cap."""
+    """CapExceededError exactly when dim V^lam is over the cap, whether or not the cell is zero."""
     alcove, cap = level_alcove(a2, 3), 8
     for lam, mu, nu in itertools.product(alcove, repeat=3):
-        if wsub(nu, mu) in weight_diagram(a2, lam).table and weyl_dimension(a2, lam) > cap:
+        if weyl_dimension(a2, lam) > cap:
             with pytest.raises(CapExceededError, match=f"> cap {cap}"):
                 fusion_coefficient(a2, 3, lam, mu, nu, max_dim=cap)
         else:
             assert fusion_coefficient(a2, 3, lam, mu, nu, max_dim=cap) == \
                 fusion_coefficient(a2, 3, lam, mu, nu)
+
+
+_OVER_CAP_QUERIES = {  # lam has dimension 200001 or 45451; the A2 cell is zero
+    "fusion_coefficient": lambda a1, a2: fusion_coefficient(a2, 300, (300, 0), (0, 0), (1, 0),
+                                                            max_dim=10),
+    "walton_dimension": lambda a1, a2: walton_dimension(a1, 200000, (200000,), (200000,), (0,),
+                                                        max_dim=10),
+    "prv_dimension": lambda a1, a2: prv_dimension(a1, (200000,), (200000,), (0,), max_dim=10),
+}
+
+
+@pytest.mark.parametrize("entry", _OVER_CAP_QUERIES)
+def test_an_over_cap_lam_is_refused_before_its_diagram_is_read(a1, a2, monkeypatch, entry):
+    def refuse(rs, lam):
+        raise AssertionError(f"the weight diagram of V^{lam} was read")
+
+    monkeypatch.setattr(fusionkit.multiplicity, "freudenthal_diagram", refuse)
+    monkeypatch.setattr(fusionkit.multiplicity, "_DIAGRAM_MEMO", {})
+    with pytest.raises(CapExceededError, match="> cap 10"):
+        _OVER_CAP_QUERIES[entry](a1, a2)
 
 
 @settings(max_examples=150, deadline=None)

@@ -187,16 +187,18 @@ def test_power_block_validation(a2):
         operator_power_block(module, "q0", 1, (1, 0))
     with pytest.raises(PreconditionError):
         operator_power_block(module, "e7", 1, (1, 0))
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        operator_power_block(module, "e0", -1, (1, 0))
 
 
 def test_bad_operator_ids_raise_every_time_and_valid_ids_give_equal_blocks(a2):
-    module = build_module(a2, (1, 1))  # no theta operators attached
+    module = build_module(a2, (1, 1))  # built with theta
     for _ in range(2):
-        for op in ("q0", "e7", "e", "etheta"):
+        for op in ("q0", "e7", "e"):
             with pytest.raises(PreconditionError):
                 operator_power_block(module, op, 2, (1, 1))
     assert operator_power_block(module, "f0", 2, (1, 1)) == operator_power_block(module, "f0", 2, (1, 1))
-    build_theta_operators(a2, module)
+    build_theta_operators(a2, module)  # a second call changes nothing
     with pytest.raises(PreconditionError):
         operator_power_block(module, "q0", 2, (1, 1))
     up = operator_power_block(module, "etheta", 1, (-1, -1))
@@ -211,6 +213,9 @@ def test_dimension_cap(a2):
         build_module(a2, (3, 3), max_dim=10)
     with pytest.raises(CapExceededError):
         cached_module(a2, (9, 9), max_dim=100)
+    cached_module(a2, (1, 1))
+    with pytest.raises(CapExceededError, match="= 8 > cap 7"):  # a memo hit is capped too
+        cached_module(a2, (1, 1), max_dim=7)
     with pytest.raises(PreconditionError):
         build_module(a2, (-1, 0))
 
@@ -237,9 +242,9 @@ def test_modules_and_walton_tables_invert_no_matrix(monkeypatch, g2):
 
 def test_theta_augmentation_is_idempotent_surface(a1):
     module = build_module(a1, (2,))
-    assert module.theta_raising is None
+    before = module.theta_raising
     built = build_theta_operators(a1, module)
-    assert built is module and module.theta_raising is not None
+    assert built is module and module.theta_raising == before
 
 
 def test_lemma_orthogonal_split_mini(a1):
@@ -254,6 +259,26 @@ def test_lemma_orthogonal_split_mini(a1):
             if src in module.basis_index:
                 im_dims += operator_power_block(module, "e0", p, src).rank()
         assert ker_dims + im_dims == 4
+
+
+def test_lemma_split_sees_e_blocks_whose_image_is_sheared(monkeypatch):
+    """Shearing V_beta under each e^p image keeps every rank, so only the orthogonality
+    checks can see it, and those meet only where a weight space has dimension > 1."""
+    from fusionkit import verify
+
+    def sheared(module, op, p, beta):
+        blk = operator_power_block(module, op, p, beta)
+        n = blk.rows
+        if op[0] != "e" or n < 2:
+            return blk
+        return RationalMatrix([[int(i == j or (i, j) == (1, 0)) for j in range(n)]
+                               for i in range(n)]) @ blk
+
+    monkeypatch.setattr(verify, "operator_power_block", sheared)
+    report = verify.SuiteReport("lemmas")
+    verify._lemma_orthogonal_split(report)
+    assert report.failures
+    assert all("not orthogonal to im(e^p)" in f for f in report.failures)
 
 
 def test_lemma_kernel_duality_mini(a2):

@@ -22,6 +22,7 @@ from fusionkit.rootdata import (
     CartanType,
     apply_matrix,
     fold_dominant,
+    shared,
     wadd,
     wneg,
     wsub,
@@ -378,3 +379,36 @@ def test_root_lattice_depth_matches_rational_simple_root_coordinates(name):
     for alpha in rs.positive_roots:
         assert root_lattice_depth(rs, zero, alpha) >= 1
         assert root_lattice_depth(rs, alpha, zero) is None
+
+
+def test_threads_racing_on_one_key_all_get_the_first_object_published():
+    import sys
+    import threading
+    import time
+
+    memo, built, got = {}, [], []
+    start = threading.Barrier(8, timeout=30)
+
+    def build():
+        time.sleep(0.001)  # let the other threads miss too
+        built.append(object())
+        return built[-1]
+
+    def worker():
+        start.wait()
+        got.append(shared(memo, "key", build))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(obj is memo["key"] for obj in got)
+    assert any(obj is memo["key"] for obj in built)
+    assert shared(memo, "key", build) is memo["key"] and len(built) <= 8
