@@ -9,7 +9,6 @@ repeated invocations. Exit codes: 0 ok, 1 internal error, 2 parse error,
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import os
@@ -32,7 +31,6 @@ from .multiplicity import weight_diagram
 from .repspace import DEFAULT_DIM_CAP, check_dim_cap
 from .rootdata import RootSystem, Weight, build_root_system
 from .tensor import tensor_decompose
-from .verify import CLI_SUITES
 
 
 def parse_weight(text: str, rank: int) -> Weight:
@@ -214,6 +212,10 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import inspect  # only verify reads these; a table process loads neither
+
+    from .verify import CLI_SUITES
+
     run = CLI_SUITES.get(args.suite)
     if run is None:
         raise ParseError(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import CapExceededError, InternalError, ParseError, PreconditionError
 from .linalg import RationalMatrix
@@ -349,8 +349,7 @@ def fusion_coefficient_via_fz(rs: RootSystem, k: int, lam: Weight, mu: Weight, n
     return fz_dimension(rs, k, lam, mu, dual_weight(rs, tuple(nu)), max_fz_dim, max_dim)
 
 
-@dataclass(frozen=True)
-class FusionTable:
+class FusionTable(NamedTuple):
     """All structure constants N^(k)nu_{lam,mu} for one (type, level).
 
     ``skipped`` holds the (lam, mu) rows the fz backend left out because

@@ -14,7 +14,6 @@ at arbitrary arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm, prod
 from operator import mul
 from typing import Mapping
@@ -33,13 +32,16 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
 class WeightDiagram:
-    """Multiplicity table of one irreducible module; keys are all its weights."""
+    """Multiplicity table of one irreducible module; keys are all its weights.
 
-    highest: Weight
-    table: Mapping[Weight, int]
-    root_system: RootSystem = field(compare=False, repr=False)
+    Slots, like ``RootSystem``'s, because the hot loops read ``table``.
+    """
+
+    __slots__ = ("highest", "table", "root_system")
+
+    def __init__(self, highest: Weight, table: Mapping[Weight, int], root_system: RootSystem):
+        self.highest, self.table, self.root_system = highest, table, root_system
 
     def multiplicity(self, nu: Weight) -> int:
         return self.table.get(tuple(nu), 0)

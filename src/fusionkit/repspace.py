@@ -26,7 +26,6 @@ checks the cap on every call and shares one module per (type, lam).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from operator import le
 
 from .errors import CapExceededError, InternalError, PreconditionError
@@ -39,7 +38,6 @@ DEFAULT_DIM_CAP = 3000
 MonomialLabel = tuple[int, ...]
 
 
-@dataclass(eq=False)
 class RepModule:
     """V^lam with weight-graded basis, Gram matrices, and operator blocks.
 
@@ -50,20 +48,18 @@ class RepModule:
     dicts grow under ``_lock`` and are never iterated while partial.
     """
 
-    root_system: RootSystem
-    highest: Weight
-    diagram: WeightDiagram
-    _order: dict[Weight, tuple[int, ...]] = field(repr=False)
-    _basis: dict[Weight, tuple[MonomialLabel, ...]] = field(default_factory=dict, repr=False)
-    _gram: dict[Weight, RationalMatrix] = field(default_factory=dict, repr=False)
-    _lowering: dict[tuple[int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
-    _raising: dict[tuple[int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
-    _theta_steps: dict[str, tuple[tuple[Weight, Weight], ...]] | None = field(default=None)
-    _theta: dict[tuple[str, int, Weight], RationalMatrix] = field(default_factory=dict, repr=False)
-    _powers: dict[tuple[str, Weight], tuple[RationalMatrix, ...]] = field(
-        default_factory=dict, repr=False
-    )
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self, root_system: RootSystem, highest: Weight, diagram: WeightDiagram,
+                 order: dict[Weight, tuple[int, ...]]):
+        self.root_system, self.highest, self.diagram = root_system, highest, diagram
+        self._order = order
+        self._basis: dict[Weight, tuple[MonomialLabel, ...]] = {}
+        self._gram: dict[Weight, RationalMatrix] = {}
+        self._lowering: dict[tuple[int, Weight], RationalMatrix] = {}
+        self._raising: dict[tuple[int, Weight], RationalMatrix] = {}
+        self._theta_steps: dict[str, tuple[tuple[Weight, Weight], ...]] | None = None
+        self._theta: dict[tuple[str, int, Weight], RationalMatrix] = {}
+        self._powers: dict[tuple[str, Weight], tuple[RationalMatrix, ...]] = {}
+        self._lock = threading.Lock()
 
     @property
     def dimension(self) -> int:
@@ -102,7 +98,7 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     order = dict(sorted(coords.items(), key=lambda item: (sum(item[1]), item[0])))
     if next(iter(order)) != lam:
         raise InternalError(f"{next(iter(order))} sorts above the highest weight {lam}")
-    module = RepModule(root_system=rs, highest=lam, diagram=diagram, _order=order)
+    module = RepModule(rs, lam, diagram, order)
     module._gram[lam] = RationalMatrix.identity(1)
     module._basis[lam] = ((),)
     return build_theta_operators(rs, module)

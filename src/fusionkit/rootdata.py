@@ -13,10 +13,9 @@ import math
 import re
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .errors import CapExceededError, InternalError, PreconditionError, UnsupportedTypeError
 from .linalg import RationalMatrix
@@ -45,21 +44,26 @@ def weyl_group_order(series: str, rank: int) -> int:
     return 12  # G2
 
 
-@dataclass(frozen=True)
-class CartanType:
-    series: str
-    rank: int
+class CartanType(NamedTuple("CartanType", [("series", str), ("rank", int)])):
+    """A finite simple type; ``__new__`` refuses any other, and ``_make`` and
+    ``_replace`` go through it.
+    """
 
-    def __post_init__(self):
-        if self.series not in "ABCDEFG":
-            raise UnsupportedTypeError(f"unknown series {self.series!r}")
-        if self.series in _EXCEPTIONAL_RANKS:
-            if self.rank not in _EXCEPTIONAL_RANKS[self.series]:
-                raise UnsupportedTypeError(f"{self.series}{self.rank} is not a finite type")
-        elif self.rank < _MIN_RANK[self.series]:
-            raise UnsupportedTypeError(
-                f"{self.series} requires rank >= {_MIN_RANK[self.series]}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int):
+        if series not in _MIN_RANK and series not in _EXCEPTIONAL_RANKS:
+            raise UnsupportedTypeError(f"unknown series {series!r}")
+        if series in _EXCEPTIONAL_RANKS:
+            if rank not in _EXCEPTIONAL_RANKS[series]:
+                raise UnsupportedTypeError(f"{series}{rank} is not a finite type")
+        elif rank < _MIN_RANK[series]:
+            raise UnsupportedTypeError(f"{series} requires rank >= {_MIN_RANK[series]}")
+        return super().__new__(cls, series, rank)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     @property
     def weyl_order(self) -> int:
@@ -148,7 +152,6 @@ def _dynkin(series: str, rank: int):
     return edges, d
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """Combinatorial skeleton of a finite simple Lie algebra.
 
@@ -157,6 +160,8 @@ class RootSystem:
     (lam_i, lam_j) of the fundamental weights. ``cartan_inverse_num`` is the
     inverse Cartan matrix times its common denominator ``cartan_inverse_den``,
     so simple-root coordinates are integer sums over one integer divisor.
+    The fields are slots, not tuple fields, because the hot loops read them:
+    a slot read costs about a third of a NamedTuple field read.
     """
 
     cartan_type: CartanType
@@ -173,6 +178,12 @@ class RootSystem:
     rho: Weight
     dual_coxeter: int
     dual_permutation: tuple[int, ...]
+
+    __slots__ = tuple(__annotations__)  # one slot per field above
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
     @property
     def rank(self) -> int:

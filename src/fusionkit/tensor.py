@@ -14,8 +14,8 @@ diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from .errors import InternalError, PreconditionError
 from .multiplicity import WeightDiagram, weight_diagram
@@ -32,15 +32,13 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class TensorDecomposition:
+class TensorDecomposition(NamedTuple):
     left: Weight
     right: Weight
     terms: dict[Weight, int]
 
 
-@dataclass(frozen=True)
-class WeightString:
+class WeightString(NamedTuple):
     """Maximal string base - down*dir, ..., base, ..., base + up*dir in a diagram."""
 
     base: Weight

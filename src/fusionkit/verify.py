@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .errors import InternalError
 from .fusion import (
@@ -42,11 +41,9 @@ from .rootdata import (
 from .tensor import stability_threshold, tensor_multiplicity, weight_string
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.checks, self.failures = name, 0, []
 
     @property
     def passed(self) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import fusion_table
+from fusionkit import FusionTable, fusion_table
 from fusionkit.cache import DiskCache, resolve_cache_dir, table_key
 from fusionkit.cli import main
 
@@ -33,6 +33,10 @@ def test_table_round_trip(tmp_path, a2):
     assert loaded is not None
     assert loaded.level == 2 and loaded.alcove == original.alcove
     assert loaded.coeffs == original.coeffs
+    assert loaded == original and loaded is not original  # value equality, as a record
+    cell, value = next(iter(original.coeffs.items()))
+    changed = {**original.coeffs, cell: value + 1}
+    assert loaded != FusionTable(original.cartan_type, 2, original.alcove, changed)
 
 
 def test_document_is_compact_plain_json_with_a_payload_digest(tmp_path, a2):

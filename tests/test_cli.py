@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env.pop("FUSIONKIT_CACHE", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_rootdata_a1(capsys):
     code, out = run(capsys, "rootdata", "A1")
     assert code == 0
@@ -37,6 +46,12 @@ def test_rootdata_a2_tsv(capsys):
 def test_rootdata_parse_failure(capsys):
     code, _ = run(capsys, "rootdata", "Z9")
     assert code == 2
+
+
+def test_rootdata_of_an_infinite_type_is_a_parse_error(capsys):
+    code = main(["rootdata", "E9"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: E9 is not a finite type\n")
 
 
 def test_weyl_cap_applies_only_where_w_is_listed(capsys, tmp_path):
@@ -169,6 +184,20 @@ def test_verify_failures_print_ten_witnesses_and_a_count_of_the_rest(capsys, mon
     assert code == 1
     assert out.splitlines() == ["stability: FAIL (15 checks, 12 failures)",
                                 *(f"  witness {i}" for i in range(10)), "  ... 2 more"]
+
+
+def test_suite_report_counts_checks_and_keeps_failures_in_order():
+    from fusionkit.verify import SuiteReport
+
+    report = SuiteReport("axioms")
+    assert (report.name, report.checks, report.failures, report.passed) == ("axioms", 0, [], True)
+    assert report.summary() == "axioms: PASS (0 checks, 0 failures)"
+    report.check(True, lambda: pytest.fail("a passing check must not describe itself"))
+    report.check(False, lambda: "first")
+    report.check(False, 7)
+    assert (report.checks, report.failures, report.passed) == (3, ["first", "7"], False)
+    assert report.summary() == "axioms: FAIL (3 checks, 2 failures)"
+    assert SuiteReport("axioms").failures is not report.failures
 
 
 def test_verify_unknown_suite(capsys):
@@ -329,10 +358,7 @@ def test_fz_table_over_the_cap_exits_before_any_output(capsys):
 
 def test_optimised_interpreter_prints_the_same_bytes(tmp_path):
     """The invariant checks are exceptions, not asserts, so -O changes nothing."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env.pop("FUSIONKIT_CACHE", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = _src_env()
     outputs = []
     for flags in ([], ["-O"]):
         cache_dir = tmp_path / f"cache{len(flags)}"
@@ -354,9 +380,7 @@ def test_optimised_interpreter_prints_the_same_bytes(tmp_path):
 
 def test_a_reader_closing_stdout_early_is_not_an_internal_error(tmp_path):
     """`fusion A2 --level 6 | head -1` exits quietly instead of with status 1."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = _src_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "fusionkit.cli", "fusion", "A2", "--level", "6",
          "--cache-dir", str(tmp_path / "cache")],
@@ -371,6 +395,31 @@ def test_a_reader_closing_stdout_early_is_not_an_internal_error(tmp_path):
         proc.kill()
         proc.stderr.close()
     assert stderr == b"" and code != 1
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("fusionkit.cli", ("dataclasses", "inspect", "fusionkit.verify")),
+    ("fusionkit", ("dataclasses",)),
+])
+def test_a_fresh_import_loads_no_dataclasses_and_no_verify_suites(tmp_path, module, absent):
+    """Start-up: a table process compiles only the table engine; verify loads for `verify`."""
+    probe = (f"import sys; before = set(sys.modules); import {module}; "
+             f"print(sorted((set(sys.modules) - before) & {set(absent)!r}))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_src_env(), cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("sl2-closed-form",), 0, "sl2-closed-form: PASS (754 checks, 0 failures)\n"),
+    (("multiplicity", "--level", "2"), 2, ""),  # a filter the suite does not take
+])
+def test_verify_in_a_fresh_process_loads_its_suites_itself(tmp_path, argv, code, out):
+    proc = subprocess.run([sys.executable, "-m", "fusionkit.cli", "verify", *argv],
+                          capture_output=True, text=True, env=_src_env(), cwd=tmp_path,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    assert ("takes no --level" in proc.stderr) == (code == 2)
 
 
 def test_no_assert_statements_in_the_library():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from fusionkit import (
     CapExceededError,
     ParseError,
     PreconditionError,
+    UnsupportedTypeError,
     build_root_system,
     dual_weight,
     form,
@@ -45,6 +47,54 @@ def test_parse_basics():
     for bad in ("Z9", "A0", "D2", "E5", "F3", "", "A", "2A"):
         with pytest.raises(ParseError):
             parse_cartan_type(bad)
+
+
+@pytest.mark.parametrize("name", ["H2", "E5", "E9", "F3", "G3", "B1", "C1", "D2", "A0"])
+def test_unsupported_types_are_refused_however_the_type_is_built(name):
+    series, rank = name[0], int(name[1:])
+    builds = {
+        "parse": lambda: parse_cartan_type(name),
+        "build from text": lambda: build_root_system(name),
+        "direct": lambda: CartanType(series, rank),
+        "build from record": lambda: build_root_system(CartanType(series, rank)),
+        "_make": lambda: CartanType._make((series, rank)),
+        "_replace": lambda: CartanType("A", 2)._replace(series=series, rank=rank),
+    }
+    for how, build in builds.items():
+        with pytest.raises(UnsupportedTypeError):
+            build()
+            pytest.fail(f"{name} built by {how}")
+
+
+def _weyl_order(series, rank):
+    """|W| from the textbook formulas and the exceptional orders."""
+    exceptional = {"E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1152, "G2": 12}
+    if series == "A":
+        return math.factorial(rank + 1)
+    if series in "BC":
+        return 2**rank * math.factorial(rank)
+    if series == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    return exceptional[f"{series}{rank}"]
+
+
+SUPPORTED_UP_TO_RANK_8 = [
+    *(f"A{n}" for n in range(1, 9)), *(f"B{n}" for n in range(2, 9)),
+    *(f"C{n}" for n in range(2, 9)), *(f"D{n}" for n in range(3, 9)),
+    "E6", "E7", "E8", "F4", "G2",
+]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_UP_TO_RANK_8)
+def test_root_system_records_print_and_count_as_plain_type_names(name):
+    """Every memo keys on ``str(rs.cartan_type)``, so the records must print as "B3", not a repr."""
+    rs = build_root_system(name)
+    series, rank = name[0], int(name[1:])
+    assert str(rs) == str(rs.cartan_type) == f"{rs.cartan_type}" == name
+    assert rs.cartan_type == CartanType(series, rank) == parse_cartan_type(name.lower())
+    assert rs.rank == rs.cartan_type.rank == rank == len(rs.simple_roots)
+    assert rs.weyl_order == rs.cartan_type.weyl_order == _weyl_order(series, rank)
+    assert build_root_system(CartanType(series, rank)) is rs
 
 
 def test_weyl_cap_rejects_large_types():
