@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 
 from .cache import DiskCache, resolve_cache_dir
@@ -33,13 +34,20 @@ from .rootdata import RootSystem, Weight, build_root_system
 from .tensor import tensor_decompose
 
 
+def _integer(text: str) -> int:
+    """int(text) for ASCII digits only; int() alone also reads "1_0" as 10 and "٣" as 3."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def parse_weight(text: str, rank: int) -> Weight:
     parts = text.split(",")
     if len(parts) != rank:
         raise ParseError(f"weight {text!r} needs {rank} comma-separated coordinates")
     try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
+        return tuple(map(_integer, parts))
+    except argparse.ArgumentTypeError as exc:
         raise ParseError(f"weight {text!r} has a non-integer coordinate") from exc
 
 
@@ -246,7 +254,7 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdigit() or _integer(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
 
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fusion", parents=[common], help="fusion coefficients at a level")
     p.add_argument("type")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer, required=True)
     p.add_argument(
         "--backend", choices=(*FUSION_BACKENDS, "all"), default="walton"
     )
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
     p.add_argument("--type", dest="type", default=None)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_integer, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -14,7 +14,7 @@ at arbitrary arguments.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Mapping
 
@@ -51,33 +51,12 @@ class WeightDiagram:
         return sum(self.table.values())
 
 
-_WEYL_FUNCTIONALS: dict[str, tuple] = {}
-
-
-def _weyl_functionals(rs: RootSystem) -> tuple[tuple, tuple, int]:
-    """The form scaled to integers, its functionals per positive root, and the Weyl denominator.
-
-    With D the common denominator of ``sym_form``, returns the integer matrix
-    D ``sym_form``, the integer functionals D (., alpha) per positive root and
-    prod_alpha D (rho, alpha); the D's cancel in every quotient taken here.
-    """
-    return shared(_WEYL_FUNCTIONALS, str(rs.cartan_type), lambda: _scaled_functionals(rs))
-
-
-def _scaled_functionals(rs: RootSystem) -> tuple[tuple, tuple, int]:
-    den = lcm(*(x.denominator for row in rs.sym_form for x in row))
-    sym = tuple(tuple(int(x * den) for x in row) for row in rs.sym_form)
-    funcs = tuple(tuple(sum(map(mul, row, alpha)) for row in sym) for alpha in rs.positive_roots)
-    return sym, funcs, prod(sum(map(mul, f, rs.rho)) for f in funcs)
-
-
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, evaluated exactly in integers."""
     if not is_dominant(lam):
         raise PreconditionError(f"{lam} is not dominant")
-    _, funcs, denom = _weyl_functionals(rs)
-    lam_rho = wadd(lam, rs.rho)
-    num = prod(sum(map(mul, f, lam_rho)) for f in funcs)
+    lam_rho, denom = wadd(lam, rs.rho), rs.weyl_denominator
+    num = prod(sum(map(mul, f, lam_rho)) for f in rs.root_functionals)
     dim, rem = divmod(num, denom)
     if rem:
         raise InternalError(f"Weyl dimension of {lam} is not an integer: {num}/{denom}")
@@ -138,13 +117,13 @@ def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     return depths
 
 
-_DIAGRAM_MEMO: dict[tuple[str, Weight], WeightDiagram] = {}
+_DIAGRAM_MEMO: dict[tuple[RootSystem, Weight], WeightDiagram] = {}
 
 
 def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     """Full weight diagram of V^lam, shared: the production form of freudenthal_diagram."""
     lam = tuple(lam)
-    return shared(_DIAGRAM_MEMO, (str(rs.cartan_type), lam), lambda: freudenthal_diagram(rs, lam))
+    return shared(_DIAGRAM_MEMO, (rs, lam), lambda: freudenthal_diagram(rs, lam))
 
 
 def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
@@ -157,8 +136,8 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     """
     lam = tuple(lam)
     depths = dominant_weights(rs, lam)
-    # everything scaled by D, which cancels in the quotient: D (., alpha) and D |x|^2
-    sym, funcs, _ = _weyl_functionals(rs)
+    # everything scaled by D = form_den, which cancels in the quotient: D (., alpha) and D |x|^2
+    sym, funcs = rs.form_num, rs.root_functionals
 
     def norm(x: Weight) -> int:
         return sum(a * sum(map(mul, row, x)) for a, row in zip(x, sym) if a)

@@ -20,7 +20,7 @@ weight) order and by the same step, so every block equals that of the complete
 module. The public maps complete the module first. Every module comes with
 e_theta and f_theta, nested commutators of the simple raisings and lowerings
 taken one source weight at a time and memoised on the module. ``cached_module``
-checks the cap on every call and shares one module per (type, lam).
+checks the cap on every call and shares one module per (root system, lam).
 """
 
 from __future__ import annotations
@@ -301,11 +301,11 @@ def operator_power_block(module: RepModule, op: str, p: int, beta: Weight) -> Ra
     return chain[min(p, len(chain) - 1)]
 
 
-_MODULE_MEMO: dict[tuple[str, Weight], RepModule] = {}
+_MODULE_MEMO: dict[tuple[RootSystem, Weight], RepModule] = {}
 
 
 def cached_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) -> RepModule:
     """The shared V^lam, built as far as it is read; the cap is checked first on every call."""
     lam = tuple(lam)
     check_dim_cap(rs, lam, max_dim)
-    return shared(_MODULE_MEMO, (str(rs.cartan_type), lam), lambda: build_module(rs, lam, max_dim))
+    return shared(_MODULE_MEMO, (rs, lam), lambda: build_module(rs, lam, max_dim))

@@ -3,8 +3,9 @@
 Weights are plain integer tuples in fundamental-weight coordinates, so the
 pairing ``<lam, alpha_j^vee>`` is just ``lam[j]`` and the simple root
 ``alpha_i`` is column ``i`` of the stored Cartan matrix. The bilinear form is
-exact rational, normalized so the highest root theta has squared length 2.
-Everything built here is immutable after construction and safe to share.
+exact rational, stored as integers over one denominator and normalized so the
+highest root theta has squared length 2. Everything built here is immutable
+after construction and safe to share, and memos key on the shared record.
 """
 
 from __future__ import annotations
@@ -27,22 +28,6 @@ WEYL_ORDER_CAP = 2_000_000  # weyl_elements refuses to list a larger W
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
-_E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
-
-
-def weyl_group_order(series: str, rank: int) -> int:
-    if series == "A":
-        return math.factorial(rank + 1)
-    if series in ("B", "C"):
-        return 2**rank * math.factorial(rank)
-    if series == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if series == "E":
-        return _E_ORDERS[rank]
-    if series == "F":
-        return 1152
-    return 12  # G2
-
 
 class CartanType(NamedTuple("CartanType", [("series", str), ("rank", int)])):
     """A finite simple type; ``__new__`` refuses any other, and ``_make`` and
@@ -64,10 +49,6 @@ class CartanType(NamedTuple("CartanType", [("series", str), ("rank", int)])):
     @classmethod
     def _make(cls, values):
         return cls(*values)
-
-    @property
-    def weyl_order(self) -> int:
-        return weyl_group_order(self.series, self.rank)
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -156,10 +137,14 @@ class RootSystem:
     """Combinatorial skeleton of a finite simple Lie algebra.
 
     ``cartan_matrix`` is oriented so its columns are the simple roots in
-    fundamental-weight coordinates. ``sym_form`` holds the Gram matrix
-    (lam_i, lam_j) of the fundamental weights. ``cartan_inverse_num`` is the
-    inverse Cartan matrix times its common denominator ``cartan_inverse_den``,
-    so simple-root coordinates are integer sums over one integer divisor.
+    fundamental-weight coordinates. ``cartan_inverse_num`` is the inverse
+    Cartan matrix times its common denominator ``cartan_inverse_den``, so
+    simple-root coordinates are integer sums over one integer divisor; in
+    the same way ``form_num`` over ``form_den`` is the Gram matrix
+    (lam_i, lam_j) of the fundamental weights. ``root_functionals`` holds
+    form_den (., alpha) per positive root and ``weyl_denominator`` the
+    product of form_den (rho, alpha), so Weyl dimensions and Freudenthal
+    run in integers. Every field is an integer or a tuple of them.
     The fields are slots, not tuple fields, because the hot loops read them:
     a slot read costs about a third of a NamedTuple field read.
     """
@@ -169,8 +154,11 @@ class RootSystem:
     cartan_inverse_num: tuple[tuple[int, ...], ...]
     cartan_inverse_den: int
     simple_roots: tuple[Weight, ...]
-    sym_form: tuple[tuple[Fraction, ...], ...]
+    form_num: tuple[tuple[int, ...], ...]
+    form_den: int
     positive_roots: tuple[Weight, ...]
+    root_functionals: tuple[tuple[int, ...], ...]
+    weyl_denominator: int
     theta: Weight
     theta_path: tuple[int, ...]  # simple indices; every partial sum is a root
     marks: tuple[int, ...]
@@ -178,6 +166,7 @@ class RootSystem:
     rho: Weight
     dual_coxeter: int
     dual_permutation: tuple[int, ...]
+    weyl_order: int
 
     __slots__ = tuple(__annotations__)  # one slot per field above
 
@@ -188,10 +177,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.cartan_type.rank
-
-    @property
-    def weyl_order(self) -> int:
-        return self.cartan_type.weyl_order
 
     def __str__(self) -> str:
         return str(self.cartan_type)
@@ -244,15 +229,15 @@ def shared(memo: dict, key, build: Callable[[], T]) -> T:
     return got
 
 
-_ROOT_SYSTEM_MEMO: dict[str, RootSystem] = {}
-_WEYL_MEMO: dict[str, list[tuple[tuple[tuple[int, ...], ...], int]]] = {}
+_ROOT_SYSTEM_MEMO: dict[CartanType, RootSystem] = {}
+_WEYL_MEMO: dict[RootSystem, list[tuple[tuple[tuple[int, ...], ...], int]]] = {}
 
 
 def build_root_system(t: CartanType | str) -> RootSystem:
     """The full root datum of a supported Cartan type, shared per type."""
     if isinstance(t, str):
         t = parse_cartan_type(t)
-    return shared(_ROOT_SYSTEM_MEMO, str(t), lambda: _root_system(t))
+    return shared(_ROOT_SYSTEM_MEMO, t, lambda: _root_system(t))
 
 
 def _root_system(t: CartanType) -> RootSystem:
@@ -279,10 +264,12 @@ def _root_system(t: CartanType) -> RootSystem:
     simple = [tuple(cartan[j][i] for j in range(rank)) for i in range(rank)]
 
     minv = RationalMatrix(cartan).inverse()
-    # sym_form G solves G @ M = diag(d), i.e. (lam_i, alpha_j) = d_j delta_ij
+    # the form G solves G @ M = diag(d), i.e. (lam_i, alpha_j) = d_j delta_ij
     sym = tuple(tuple(d[i] * minv[i, j] for j in range(rank)) for i in range(rank))
     if any(sym[i][j] != sym[j][i] for i in range(rank) for j in range(rank)):
         raise InternalError(f"the form of {t} is not symmetric")
+    form_den = math.lcm(*(x.denominator for row in sym for x in row))
+    form_num = tuple(tuple(int(x * form_den) for x in row) for row in sym)
 
     positive, alpha_coords, parent = _close_positive_roots(simple, rank)
     heights = {r: sum(alpha_coords[r]) for r in positive}
@@ -325,14 +312,18 @@ def _root_system(t: CartanType) -> RootSystem:
     if any(sigma[sigma[i]] != i for i in range(rank)):
         raise InternalError(f"-w0 on the simple roots of {t} is not an involution: {sigma}")
 
+    funcs = tuple(tuple(sum(map(mul, row, alpha)) for row in form_num) for alpha in positive)
     rs = RootSystem(
         cartan_type=t,
         cartan_matrix=cartan,
         cartan_inverse_num=minv.num,
         cartan_inverse_den=minv.den,
         simple_roots=tuple(simple),
-        sym_form=sym,
+        form_num=form_num,
+        form_den=form_den,
         positive_roots=tuple(positive),
+        root_functionals=funcs,
+        weyl_denominator=math.prod(sum(map(mul, f, rho)) for f in funcs),
         theta=theta,
         theta_path=tuple(path),
         marks=tuple(marks),
@@ -340,6 +331,8 @@ def _root_system(t: CartanType) -> RootSystem:
         rho=rho,
         dual_coxeter=1 + sum(comarks),
         dual_permutation=sigma,
+        # r! a_1...a_r |P/Q|, and |P/Q| = 1 + #{j : a_j = 1} (Bourbaki VI.2.3-4)
+        weyl_order=math.factorial(rank) * math.prod(marks) * (1 + marks.count(1)),
     )
     if form(rs, theta, theta) != 2:
         raise InternalError(f"(theta, theta) = {form(rs, theta, theta)} in {t}, not 2")
@@ -357,14 +350,8 @@ def pairing(rs: RootSystem, lam: Weight, j: int) -> int:
 
 def form(rs: RootSystem, lam: Weight, mu: Weight) -> Fraction:
     """Symmetric bilinear form with (theta, theta) = 2."""
-    sym = rs.sym_form
-    total = Fraction(0)
-    for i, a in enumerate(lam):
-        if not a:
-            continue
-        row = sym[i]
-        total += a * sum(row[j] * b for j, b in enumerate(mu) if b)
-    return total
+    return Fraction(sum(a * sum(map(mul, row, mu)) for a, row in zip(lam, rs.form_num) if a),
+                    rs.form_den)
 
 
 def root_pairing(rs: RootSystem, lam: Weight, root: Weight) -> Fraction:
@@ -388,7 +375,7 @@ def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int
 
     The only code that lists W, so the one place the Weyl-order cap applies.
     """
-    return shared(_WEYL_MEMO, str(rs.cartan_type), lambda: _list_weyl_group(rs))
+    return shared(_WEYL_MEMO, rs, lambda: _list_weyl_group(rs))
 
 
 def _list_weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:

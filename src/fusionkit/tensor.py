@@ -4,8 +4,8 @@ The production path for tensor multiplicities (the PRV criterion and the
 Kac-Walton backend read it) is the Racah-Speiser signed sum over the Weyl
 group, evaluated directly against the full weight diagram. Weight
 multiplicities are W-invariant and eps(w^-1) = eps(w), so the sum runs over
-the orbit of mu+rho, memoised in W's order per (type, mu+rho), and reads its
-signs from ``weyl_elements``, still the only code that lists W. A greedy
+the orbit of mu+rho, memoised in W's order per (root system, mu+rho), and
+reads its signs from ``weyl_elements``, still the only code that lists W. A greedy
 character-subtraction decomposition is kept alongside as an independent
 oracle for tests: multiply two diagrams as multisets, then repeatedly peel
 the highest remaining weight. Both read the production (Freudenthal) weight
@@ -53,12 +53,12 @@ def _require_dominant(*weights: Weight) -> None:
             raise PreconditionError(f"{tuple(w)} is not dominant")
 
 
-_ORBIT_MEMO: dict[tuple[str, Weight], tuple[Weight, ...]] = {}
+_ORBIT_MEMO: dict[tuple[RootSystem, Weight], tuple[Weight, ...]] = {}
 
 
 def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> tuple[Weight, ...]:
     """w(mu_rho) for each w of ``group`` (the listed W of rs), in its order."""
-    return shared(_ORBIT_MEMO, (str(rs.cartan_type), mu_rho),
+    return shared(_ORBIT_MEMO, (rs, mu_rho),
                   lambda: tuple(apply_matrix(mat, mu_rho) for mat, _ in group))
 
 

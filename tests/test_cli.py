@@ -278,6 +278,27 @@ def test_caps_must_be_positive_integers(capsys, tmp_path, option, argv, value):
     assert f"argument {option}: '{value}' is not a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])  # int() reads these as 10 and 3
+@pytest.mark.parametrize("argv, named", [
+    (("weights", "A2", "{},0", "--cache-dir", "{dir}"), "weight '{},0' has a non-integer"),
+    (("fusion", "A2", "--level", "{}", "--cache-dir", "{dir}"), "argument --level: '{}' is not"),
+    (("verify", "three-way", "--level", "{}"), "argument --level: '{}' is not an integer"),
+    (("weights", "A2", "1,0", "--max-dim", "{}", "--cache-dir", "{dir}"),
+     "argument --max-dim: '{}' is not"),
+])
+def test_integer_arguments_are_ascii_digits_without_separators(capsys, tmp_path, argv, named,
+                                                               value):
+    code = main([a.format(value, dir=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named.format(value) in captured.err
+
+
+def test_signed_and_padded_weight_coordinates_keep_their_meaning(capsys):
+    assert run(capsys, "weights", "A2", " +1,0 ", "--format", "tsv") == \
+        run(capsys, "weights", "A2", "1,0", "--format", "tsv")
+
+
 @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
 def test_jobs_option_is_a_parse_error(capsys, tmp_path, jobs):
     """Tables are built in one process; there is no --jobs option."""

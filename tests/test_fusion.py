@@ -455,6 +455,25 @@ def test_a_table_ranks_each_class_once_on_the_member_a_point_query_ranks(monkeyp
         assert ranked == [triple]
 
 
+def test_every_memo_keys_on_the_shared_root_system(monkeypatch):
+    """Diagrams, modules, orbits and Weyl groups are memoised on the record
+    ``build_root_system`` hands out, not on a name formatted per lookup."""
+    from fusionkit import repspace, rootdata, tensor, tensor_decompose
+
+    for module, memo in ((tensor, "_ORBIT_MEMO"), (repspace, "_MODULE_MEMO"),
+                         (rootdata, "_WEYL_MEMO"), (fusionkit.multiplicity, "_DIAGRAM_MEMO")):
+        monkeypatch.setattr(module, memo, {})
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    for backend in ("walton", "kacwalton"):
+        fusion_table(a2, 3, backend)
+    tensor_decompose(b2, (1, 0), (0, 1))
+    assert rootdata._ROOT_SYSTEM_MEMO[rootdata.CartanType("A", 2)] is a2
+    assert set(rootdata._WEYL_MEMO) == {a2, b2}  # a RootSystem compares by identity
+    for memo in (tensor._ORBIT_MEMO, fusionkit.multiplicity._DIAGRAM_MEMO):
+        assert {rs for rs, _ in memo} == {a2, b2}
+    assert repspace._MODULE_MEMO and all(rs is a2 for rs, _ in repspace._MODULE_MEMO)
+
+
 def test_the_g2_level_six_table_builds_at_most_458_weight_spaces(monkeypatch):
     """One row per unordered pair of alcove weights built 964."""
     from fusionkit import repspace

@@ -497,7 +497,7 @@ def test_a_query_builds_only_the_upper_cone_of_its_weight(monkeypatch, name, k, 
     rs = build_root_system(name)
     monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
     walton_dimension(rs, k, lam, beta, (0,) * rs.rank)
-    module = repspace._MODULE_MEMO[(name, lam)]
+    module = repspace._MODULE_MEMO[(rs, lam)]
     weights = weight_diagram(rs, lam).table
     cone = _cone(rs, weights, beta)
     assert set(module._basis) == cone

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from fusionkit import (
     pairing,
     parse_cartan_type,
     reflect,
+    weyl_dimension,
     weyl_elements,
 )
 from fusionkit.linalg import RationalMatrix
@@ -87,14 +89,34 @@ SUPPORTED_UP_TO_RANK_8 = [
 
 @pytest.mark.parametrize("name", SUPPORTED_UP_TO_RANK_8)
 def test_root_system_records_print_and_count_as_plain_type_names(name):
-    """Every memo keys on ``str(rs.cartan_type)``, so the records must print as "B3", not a repr."""
+    """The disk cache and tables key on ``str(rs.cartan_type)``, so the records must print
+    as "B3", not a repr."""
     rs = build_root_system(name)
     series, rank = name[0], int(name[1:])
     assert str(rs) == str(rs.cartan_type) == f"{rs.cartan_type}" == name
     assert rs.cartan_type == CartanType(series, rank) == parse_cartan_type(name.lower())
     assert rs.rank == rs.cartan_type.rank == rank == len(rs.simple_roots)
-    assert rs.weyl_order == rs.cartan_type.weyl_order == _weyl_order(series, rank)
+    assert rs.weyl_order == _weyl_order(series, rank)
     assert build_root_system(CartanType(series, rank)) is rs
+
+
+@pytest.mark.parametrize("name", SUPPORTED_UP_TO_RANK_8)
+def test_the_integer_form_and_weyl_denominator_of_every_type(name):
+    """The record's integer form gives (omega_i, alpha_j) = delta_ij (alpha_j, alpha_j)/2 and
+    (theta, theta) = 2, its Weyl denominator the trivial and adjoint dimensions, and it
+    stores no Fraction."""
+    rs = build_root_system(name)
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    assert weyl_dimension(rs, (0,) * rs.rank) == 1
+    assert weyl_dimension(rs, rs.theta) == rs.rank + 2 * len(rs.positive_roots)
+    for i, omega in enumerate(units):
+        for j, alpha in enumerate(rs.simple_roots):
+            assert form(rs, omega, alpha) == (i == j) * form(rs, alpha, alpha) / 2
+    for x, y in itertools.product(units + list(rs.positive_roots), repeat=2):
+        assert form(rs, x, y) == form(rs, y, x)
+    assert form(rs, rs.theta, rs.theta) == 2
+    assert not any(isinstance(getattr(rs, slot), Fraction) for slot in rs.__slots__)
+    assert {type(x) for row in rs.form_num + rs.root_functionals for x in row} == {int}
 
 
 def test_weyl_cap_rejects_large_types():

@@ -144,8 +144,8 @@ def test_threads_decomposing_on_one_type_share_each_orbit(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     memo = tensor._ORBIT_MEMO
-    assert set(memo) == {("B3", wadd(mu, b3.rho)) for _, mu in pairs}
-    assert all(got is memo["B3", mu_rho] for mu_rho, got in handed_out)
+    assert set(memo) == {(b3, wadd(mu, b3.rho)) for _, mu in pairs}
+    assert all(got is memo[b3, mu_rho] for mu_rho, got in handed_out)
 
 
 def test_conjugation_symmetry(a2):
