@@ -254,9 +254,14 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or _integer(text) < 1:
+    """An integer read as _integer reads it, at least 1."""
+    try:
+        value = _integer(text)
+    except argparse.ArgumentTypeError:
+        value = 0  # refused below, in this option's own words
+    if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

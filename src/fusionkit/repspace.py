@@ -25,6 +25,7 @@ checks the cap on every call and shares one module per (root system, lam).
 
 from __future__ import annotations
 
+import re
 import threading
 from operator import le
 
@@ -240,7 +241,7 @@ def _parse_op(module: RepModule, op: str) -> tuple[str, int | None, Weight]:
     kind, idx = op[:1], op[1:]
     if op in ("etheta", "ftheta"):
         i, shift = None, rs.theta
-    elif kind not in ("e", "f") or not idx.isdigit():
+    elif not re.fullmatch(r"[ef](0|[1-9][0-9]*)", op):  # ASCII, no leading zero: one id each
         raise PreconditionError(f"unknown operator id {op!r}")
     elif int(idx) >= rs.rank:
         raise PreconditionError(f"operator index {int(idx)} out of range for {rs}")

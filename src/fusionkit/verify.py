@@ -33,6 +33,7 @@ from .rootdata import (
     build_root_system,
     dual_weight,
     is_dominant,
+    parse_cartan_type,
     root_pairing,
     wadd,
     wscale,
@@ -72,45 +73,52 @@ def verify_sl2_closed_form() -> SuiteReport:
                         continue
                     got = walton_dimension(rs, k, (n1,), (n1 - 2 * i,), (n2,))
                     expect = 1 if (i <= n2 and n1 + n2 - 2 * i <= k - i) else 0
-                    report.check(
-                        got == expect,
-                        lambda k=k, n1=n1, n2=n2, i=i, got=got, expect=expect:
-                        f"k={k} n1={n1} n2={n2} i={i}: walton={got} closed-form={expect}",
-                    )
+                    report.check(got == expect,
+                                 lambda: f"k={k} n1={n1} n2={n2} i={i}: "
+                                         f"walton={got} closed-form={expect}")
     return report
 
 
-def _prv_cases(restrict_type: str | None = None):
-    cases = []
-    if restrict_type in (None, "A1"):
-        rs = build_root_system("A1")
-        lams = [(m,) for m in range(12)]  # dim m+1 <= 12
-        cases.append((rs, lams, lams))
-    if restrict_type in (None, "A2"):
-        rs = build_root_system("A2")
-        lams = [(a, b) for a in range(3) for b in range(3)]
-        cases.append((rs, lams, lams))
-    return cases
+def _select(sweep, restrict_type: str | None = None, restrict_level: int | None = None):
+    """(root system, case) for each case of ``sweep`` that --type and --level keep.
+
+    ``sweep`` pairs a type name with its cases: levels in the table suites, the only ones
+    that take --level. --type takes any spelling ``parse_cartan_type`` reads.
+    """
+    want = None if restrict_type is None else parse_cartan_type(restrict_type)
+    for name, cases in sweep:
+        rs = build_root_system(name)
+        if want is None or rs.cartan_type == want:
+            for case in cases:
+                if restrict_level is None or case == restrict_level:
+                    yield rs, case
+
+
+_PRV_WEIGHTS = (
+    ("A1", tuple((m,) for m in range(12))),  # dim m+1 <= 12
+    ("A2", tuple(itertools.product(range(3), repeat=2))),
+)
+
+
+def _prv_triples(restrict_type: str | None = None):
+    """(rs, lam, mu, beta) for lam, mu among one type's PRV weights and beta a weight of
+    V^lam with beta + mu dominant."""
+    pairs = ((name, itertools.product(lams, repeat=2)) for name, lams in _PRV_WEIGHTS)
+    for rs, (lam, mu) in _select(pairs, restrict_type):
+        for beta in sorted(weight_diagram(rs, lam).table):
+            if is_dominant(wadd(beta, mu)):
+                yield rs, lam, mu, beta
 
 
 def verify_prv(restrict_type: str | None = None) -> SuiteReport:
     """PRV subspace dimension == Racah-Speiser multiplicity on the sweep."""
     report = SuiteReport("prv")
-    for rs, lams, mus in _prv_cases(restrict_type):
-        for lam in lams:
-            diagram = weight_diagram(rs, lam)
-            for mu in mus:
-                for beta in sorted(diagram.table):
-                    top = wadd(beta, mu)
-                    if not is_dominant(top):
-                        continue
-                    got = prv_dimension(rs, lam, beta, mu)
-                    expect = tensor_multiplicity(rs, lam, mu, top)
-                    report.check(
-                        got == expect,
-                        lambda rs=rs, lam=lam, beta=beta, mu=mu, got=got, expect=expect:
-                        f"{rs} lam={lam} beta={beta} mu={mu}: prv={got} racah-speiser={expect}",
-                    )
+    for rs, lam, mu, beta in _prv_triples(restrict_type):
+        got = prv_dimension(rs, lam, beta, mu)
+        expect = tensor_multiplicity(rs, lam, mu, wadd(beta, mu))
+        report.check(got == expect,
+                     lambda: f"{rs} lam={lam} beta={beta} mu={mu}: "
+                             f"prv={got} racah-speiser={expect}")
     return report
 
 
@@ -121,40 +129,25 @@ def verify_threshold() -> SuiteReport:
     fusion coefficient must drop strictly, whenever that level is alcove-valid.
     """
     report = SuiteReport("threshold")
-    for rs, lams, mus in _prv_cases():
-        sl2 = rs.rank == 1
-        for lam in lams:
-            diagram = weight_diagram(rs, lam)
-            for mu in mus:
-                for beta in sorted(diagram.table):
-                    top = wadd(beta, mu)
-                    if not is_dominant(top):
-                        continue
-                    r_down = weight_string(diagram, beta, rs.theta).down
-                    expect = tensor_multiplicity(rs, lam, mu, top)
-                    k0 = max(
-                        theta_pairing(rs, mu) + r_down,
-                        theta_pairing(rs, lam),
-                        theta_pairing(rs, top),
-                        1,
-                    )
-                    for k in (k0, k0 + 1):
-                        got = fusion_coefficient(rs, k, lam, mu, top)
-                        report.check(
-                            got == expect,
-                            lambda rs=rs, k=k, lam=lam, beta=beta, mu=mu, got=got, expect=expect:
-                            f"{rs} k={k} lam={lam} beta={beta} mu={mu}: fusion={got} tensor={expect}",
-                        )
-                    below = theta_pairing(rs, mu) + r_down - 1
-                    if sl2 and expect and below >= 1 and all(
-                        in_alcove(rs, below, w) for w in (lam, mu, top)
-                    ):
-                        got = fusion_coefficient(rs, below, lam, mu, top)
-                        report.check(
-                            got < expect,
-                            lambda rs=rs, below=below, lam=lam, beta=beta, mu=mu, got=got:
-                            f"{rs} k={below} lam={lam} beta={beta} mu={mu}: threshold not sharp ({got})",
-                        )
+    for rs, lam, mu, beta in _prv_triples():
+        top = wadd(beta, mu)
+        r_down = weight_string(weight_diagram(rs, lam), beta, rs.theta).down
+        expect = tensor_multiplicity(rs, lam, mu, top)
+        k0 = max(theta_pairing(rs, mu) + r_down, theta_pairing(rs, lam),
+                 theta_pairing(rs, top), 1)
+        for k in (k0, k0 + 1):
+            got = fusion_coefficient(rs, k, lam, mu, top)
+            report.check(got == expect,
+                         lambda: f"{rs} k={k} lam={lam} beta={beta} mu={mu}: "
+                                 f"fusion={got} tensor={expect}")
+        below = theta_pairing(rs, mu) + r_down - 1
+        if rs.rank == 1 and expect and below >= 1 and all(
+            in_alcove(rs, below, w) for w in (lam, mu, top)
+        ):
+            got = fusion_coefficient(rs, below, lam, mu, top)
+            report.check(got < expect,
+                         lambda: f"{rs} k={below} lam={lam} beta={beta} mu={mu}: "
+                                 f"threshold not sharp ({got})")
     return report
 
 
@@ -165,26 +158,16 @@ def verify_three_way(restrict_type: str | None = None,
                      restrict_level: int | None = None) -> SuiteReport:
     """walton == kac-walton on every triple; walton == fz under the FZ cap."""
     report = SuiteReport("three-way")
-    for name, levels in _THREE_WAY_RANGES:
-        if restrict_type and name != restrict_type:
-            continue
-        rs = build_root_system(name)
-        for k in levels:
-            if restrict_level is not None and k != restrict_level:
-                continue
-            tables = {b: fusion_table(rs, k, b) for b in FUSION_BACKENDS}
-            walton = tables.pop("walton")
-            for lam, mu, nu in itertools.product(walton.alcove, repeat=3):
-                w = walton.coefficient(lam, mu, nu)
-                for b, table in tables.items():
-                    if (lam, mu) in table.skipped:
-                        continue
-                    got = table.coefficient(lam, mu, nu)
-                    report.check(
-                        w == got,
-                        lambda rs=rs, k=k, lam=lam, mu=mu, nu=nu, w=w, b=b, got=got:
-                        f"{rs} k={k} {lam}x{mu}->{nu}: walton={w} {b}={got}",
-                    )
+    for rs, k in _select(_THREE_WAY_RANGES, restrict_type, restrict_level):
+        tables = {b: fusion_table(rs, k, b) for b in FUSION_BACKENDS}
+        walton = tables.pop("walton")
+        for lam, mu, nu in itertools.product(walton.alcove, repeat=3):
+            w = walton.coefficient(lam, mu, nu)
+            for b, table in tables.items():
+                if (lam, mu) in table.skipped:
+                    continue
+                got = table.coefficient(lam, mu, nu)
+                report.check(w == got, lambda: f"{rs} k={k} {lam}x{mu}->{nu}: walton={w} {b}={got}")
     return report
 
 
@@ -197,73 +180,49 @@ def verify_axioms(restrict_type: str | None = None,
     identity, commutativity, conjugation with C^2 = I, full S3 symmetry,
     associativity; and the Walton table equals the Kac-Walton table cell by cell."""
     report = SuiteReport("axioms")
-    for name, levels in _AXIOM_RANGES:
-        if restrict_type and name != restrict_type:
-            continue
-        rs = build_root_system(name)
-        for k in levels:
-            if restrict_level is not None and k != restrict_level:
-                continue
-            table, walton = fusion_table(rs, k, "kacwalton"), fusion_table(rs, k)
-            alcove = table.alcove
-            zero = (0,) * rs.rank
-            n = {t: c for t, c in table.coeffs.items()}
+    for rs, k in _select(_AXIOM_RANGES, restrict_type, restrict_level):
+        table, walton = fusion_table(rs, k, "kacwalton"), fusion_table(rs, k)
+        alcove = table.alcove
+        zero = (0,) * rs.rank
 
-            def coeff(a, b, c):
-                return n.get((a, b, c), 0)
+        def coeff(a, b, c):
+            return table.coeffs.get((a, b, c), 0)
 
-            for mu in alcove:
-                for nu in alcove:
-                    report.check(
-                        coeff(zero, mu, nu) == (1 if mu == nu else 0),
-                        lambda mu=mu, nu=nu: f"{name} k={k}: identity row fails at {mu},{nu}",
-                    )
-            for lam, mu in itertools.product(alcove, repeat=2):
-                for nu in alcove:
-                    report.check(
-                        coeff(lam, mu, nu) == coeff(mu, lam, nu),
-                        lambda lam=lam, mu=mu, nu=nu:
-                        f"{name} k={k}: commutativity fails at {lam},{mu},{nu}",
-                    )
-                    w = walton.coefficient(lam, mu, nu)
-                    report.check(
-                        w == coeff(lam, mu, nu),
-                        lambda lam=lam, mu=mu, nu=nu, w=w:
-                        f"{name} k={k} {lam}x{mu}->{nu}: walton={w} kacwalton={coeff(lam, mu, nu)}",
-                    )
-                report.check(
-                    coeff(lam, mu, zero) == (1 if mu == dual_weight(rs, lam) else 0),
-                    lambda lam=lam, mu=mu:
-                    f"{name} k={k}: conjugation fails at {lam},{mu}",
-                )
-            # C^2 = I for the nu = 0 slice
-            for lam in alcove:
-                row = [mu for mu in alcove if coeff(lam, mu, zero)]
-                report.check(
-                    len(row) == 1 and coeff(row[0], lam, zero) == 1,
-                    lambda lam=lam: f"{name} k={k}: C^2 != I at {lam}",
-                )
-            # full S3 symmetry of N_{lam,mu,nu} = N^{nu*}_{lam,mu}
-            for lam, mu, nu in itertools.combinations_with_replacement(alcove, 3):
-                vals = {
-                    coeff(a, b, dual_weight(rs, c))
-                    for a, b, c in itertools.permutations((lam, mu, nu))
-                }
-                report.check(
-                    len(vals) == 1,
-                    lambda lam=lam, mu=mu, nu=nu, vals=vals:
-                    f"{name} k={k}: S3 symmetry fails at {lam},{mu},{nu}: {vals}",
-                )
-            # associativity
-            for lam, mu, nu in itertools.product(alcove, repeat=3):
-                for tau in alcove:
-                    lhs = sum(coeff(lam, mu, s) * coeff(s, nu, tau) for s in alcove)
-                    rhs = sum(coeff(lam, s, tau) * coeff(mu, nu, s) for s in alcove)
-                    report.check(
-                        lhs == rhs,
-                        lambda lam=lam, mu=mu, nu=nu, tau=tau, lhs=lhs, rhs=rhs:
-                        f"{name} k={k}: associativity fails at {lam},{mu},{nu},{tau}: {lhs}!={rhs}",
-                    )
+        for mu in alcove:
+            for nu in alcove:
+                report.check(coeff(zero, mu, nu) == (1 if mu == nu else 0),
+                             lambda: f"{rs} k={k}: identity row fails at {mu},{nu}")
+        for lam, mu in itertools.product(alcove, repeat=2):
+            for nu in alcove:
+                report.check(coeff(lam, mu, nu) == coeff(mu, lam, nu),
+                             lambda: f"{rs} k={k}: commutativity fails at {lam},{mu},{nu}")
+                w = walton.coefficient(lam, mu, nu)
+                report.check(w == coeff(lam, mu, nu),
+                             lambda: f"{rs} k={k} {lam}x{mu}->{nu}: walton={w} "
+                                     f"kacwalton={coeff(lam, mu, nu)}")
+            report.check(coeff(lam, mu, zero) == (1 if mu == dual_weight(rs, lam) else 0),
+                         lambda: f"{rs} k={k}: conjugation fails at {lam},{mu}")
+        # C^2 = I for the nu = 0 slice
+        for lam in alcove:
+            row = [mu for mu in alcove if coeff(lam, mu, zero)]
+            report.check(len(row) == 1 and coeff(row[0], lam, zero) == 1,
+                         lambda: f"{rs} k={k}: C^2 != I at {lam}")
+        # full S3 symmetry of N_{lam,mu,nu} = N^{nu*}_{lam,mu}
+        for lam, mu, nu in itertools.combinations_with_replacement(alcove, 3):
+            vals = {
+                coeff(a, b, dual_weight(rs, c))
+                for a, b, c in itertools.permutations((lam, mu, nu))
+            }
+            report.check(len(vals) == 1,
+                         lambda: f"{rs} k={k}: S3 symmetry fails at {lam},{mu},{nu}: {vals}")
+        # associativity
+        for lam, mu, nu in itertools.product(alcove, repeat=3):
+            for tau in alcove:
+                lhs = sum(coeff(lam, mu, s) * coeff(s, nu, tau) for s in alcove)
+                rhs = sum(coeff(lam, s, tau) * coeff(mu, nu, s) for s in alcove)
+                report.check(lhs == rhs,
+                             lambda: f"{rs} k={k}: associativity fails at {lam},{mu},{nu},{tau}: "
+                                     f"{lhs}!={rhs}")
     return report
 
 
@@ -305,17 +264,12 @@ def _lemma_orthogonal_split(report: SuiteReport) -> None:
                     im_total += image.rank()
                     if kb.cols and not image.is_zero():
                         overlap = kb.transpose() @ module.gram[beta] @ image
-                        report.check(
-                            overlap.is_zero(),
-                            lambda rs=rs, lam=lam, alpha=alpha, p=p, beta=beta:
-                            f"{rs} V^{lam} alpha={alpha} p={p}: "
-                            f"ker(f^p) not orthogonal to im(e^p) at {beta}",
-                        )
-            report.check(
-                ker_total + im_total == module.dimension,
-                lambda rs=rs, lam=lam, alpha=alpha, p=p, k=ker_total, i=im_total, d=module.dimension:
-                f"{rs} V^{lam} alpha={alpha} p={p}: dim ker {k} + dim im {i} != {d}",
-            )
+                        report.check(overlap.is_zero(),
+                                     lambda: f"{rs} V^{lam} alpha={alpha} p={p}: "
+                                             f"ker(f^p) not orthogonal to im(e^p) at {beta}")
+            report.check(ker_total + im_total == module.dimension,
+                         lambda: f"{rs} V^{lam} alpha={alpha} p={p}: "
+                                 f"dim ker {ker_total} + dim im {im_total} != {module.dimension}")
 
 
 def _lemma_kernel_duality(report: SuiteReport) -> None:
@@ -334,11 +288,9 @@ def _lemma_kernel_duality(report: SuiteReport) -> None:
                 for p in range(max(0, -pair), up + 2):
                     lhs = operator_power_block(module, e_op, p, beta).kernel().cols
                     rhs = operator_power_block(module, f_op, p + pair, beta).kernel().cols
-                    report.check(
-                        lhs == rhs,
-                        lambda lam=lam, beta=beta, alpha=alpha, p=p, lhs=lhs, rhs=rhs:
-                        f"A2 V^{lam} beta={beta} alpha={alpha} p={p}: ker(e^p)={lhs} ker(f^(p+pair))={rhs}",
-                    )
+                    report.check(lhs == rhs,
+                                 lambda: f"A2 V^{lam} beta={beta} alpha={alpha} p={p}: "
+                                         f"ker(e^p)={lhs} ker(f^(p+pair))={rhs}")
 
 
 def _lemma_projection(report: SuiteReport) -> None:
@@ -357,22 +309,15 @@ def _lemma_projection(report: SuiteReport) -> None:
         dim_w = w.cols
         dim1 = part1.cols
         dim2 = cap.cols
-        report.check(
-            dim1 + dim2 == dim_w,
-            lambda t=trial, a=dim1, b=dim2, d=dim_w:
-            f"projection split trial {t}: {a} + {b} != {d}",
-        )
+        report.check(dim1 + dim2 == dim_w,
+                     lambda: f"projection split trial {trial}: {dim1} + {dim2} != {dim_w}")
         if dim1 and dim2:
             overlap = part1.transpose() @ wg @ cap
-            report.check(
-                overlap.is_zero(),
-                lambda t=trial: f"projection split trial {t}: summands not orthogonal",
-            )
+            report.check(overlap.is_zero(),
+                         lambda: f"projection split trial {trial}: summands not orthogonal")
         joint = RationalMatrix.block([dim_w], [dim1, dim2], {(0, 0): part1, (0, 1): cap})
-        report.check(
-            joint.rank() == dim_w,
-            lambda t=trial: f"projection split trial {t}: summands do not span W",
-        )
+        report.check(joint.rank() == dim_w,
+                     lambda: f"projection split trial {trial}: summands do not span W")
 
 
 def _random_posdef(rng: random.Random, n: int) -> RationalMatrix:
@@ -424,12 +369,9 @@ def verify_stability() -> SuiteReport:
                             shift = tuple(m if t == j else 0 for t in range(rs.rank))
                             bigger = wadd(mu, shift)
                             moved = tensor_multiplicity(rs, lam, bigger, wadd(beta, bigger))
-                            report.check(
-                                moved == base,
-                                lambda name=name, lam=lam, beta=beta, j=j, mu=mu, m=m,
-                                base=base, moved=moved:
-                                f"{name} lam={lam} beta={beta} j={j} mu={mu} m={m}: {moved} != {base}",
-                            )
+                            report.check(moved == base,
+                                         lambda: f"{name} lam={lam} beta={beta} j={j} "
+                                                 f"mu={mu} m={m}: {moved} != {base}")
     return report
 
 
@@ -440,21 +382,15 @@ def verify_multiplicity_oracle(restrict_type: str | None = None,
                                dim_cap: int = 500) -> SuiteReport:
     """W-recursion diagram == production (Freudenthal) diagram; total == Weyl dimension."""
     report = SuiteReport("multiplicity")
-    for name in _MULT_TYPES:
-        if restrict_type and name != restrict_type:
-            continue
-        rs = build_root_system(name)
-        for lam in dominant_weights_up_to_dim(rs, dim_cap):
+    sweep = ((name, (dim_cap,)) for name in _MULT_TYPES)
+    for rs, cap in _select(sweep, restrict_type):
+        for lam in dominant_weights_up_to_dim(rs, cap):
             recursion = recursion_diagram(rs, lam)
             production = weight_diagram(rs, lam)
-            report.check(
-                dict(recursion.table) == dict(production.table),
-                lambda name=name, lam=lam: f"{name} lam={lam}: recursion != Freudenthal",
-            )
-            report.check(
-                recursion.dimension == weyl_dimension(rs, lam),
-                lambda name=name, lam=lam: f"{name} lam={lam}: total != Weyl dimension",
-            )
+            report.check(dict(recursion.table) == dict(production.table),
+                         lambda: f"{rs} lam={lam}: recursion != Freudenthal")
+            report.check(recursion.dimension == weyl_dimension(rs, lam),
+                         lambda: f"{rs} lam={lam}: total != Weyl dimension")
     return report
 
 

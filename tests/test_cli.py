@@ -170,6 +170,27 @@ def test_verify_known_suites(capsys):
     assert "multiplicity: PASS" in out
 
 
+@pytest.mark.parametrize("suite, canonical, spellings, level", [
+    ("prv", "A1", ("a1", " A1 "), ()),
+    ("three-way", "A2", ("a2", " A2"), ("--level", "1")),
+    ("axioms", "A1", ("a1", "A1 "), ("--level", "3")),
+    ("multiplicity", "G2", ("g2", " g2 "), ()),
+])
+def test_verify_type_takes_every_spelling_the_other_commands_take(capsys, suite, canonical,
+                                                                   spellings, level):
+    code, expect = run(capsys, "verify", suite, "--type", canonical, *level)
+    assert code == 0 and expect.endswith(" 0 failures)\n")
+    for spelling in spellings:
+        assert run(capsys, "verify", suite, "--type", spelling, *level) == (0, expect)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("three-way", "--type", "E9"), 2),  # no such type
+    (("three-way", "--type", "b2"), 3),  # a type outside the sweep
+])
+def test_verify_type_outside_a_sweep_is_still_refused(capsys, argv, code):
+    assert run(capsys, "verify", *argv) == (code, "")
+
 def test_verify_failures_print_ten_witnesses_and_a_count_of_the_rest(capsys, monkeypatch):
     from fusionkit.verify import CLI_SUITES, SuiteReport
 
@@ -277,6 +298,13 @@ def test_caps_must_be_positive_integers(capsys, tmp_path, option, argv, value):
     assert code == 2 and captured.out == ""
     assert f"argument {option}: '{value}' is not a positive integer" in captured.err
 
+
+@pytest.mark.parametrize("option", ["--max-dim", "--max-fz-dim"])
+@pytest.mark.parametrize("value", ["+5", " 5"])
+def test_signed_and_padded_caps_read_as_level_does(capsys, tmp_path, option, value):
+    argv = ["fusion", "A1", "--level", "1", "--cache-dir", str(tmp_path)]
+    got = run(capsys, *argv, option, value)
+    assert got[0] == 0 and got == run(capsys, *argv, option, "5")
 
 @pytest.mark.parametrize("value", ["1_0", "\u0663"])  # int() reads these as 10 and 3
 @pytest.mark.parametrize("argv, named", [

@@ -343,6 +343,36 @@ def test_verify_axioms_reads_the_walton_table_cell_by_cell(monkeypatch):
     assert all("walton=3 kacwalton=2" in f for f in report.failures)
 
 
+def test_a_prv_failure_names_its_triple_and_both_values(monkeypatch):
+    from fusionkit import verify
+
+    value = verify.tensor_multiplicity
+
+    def one_triple_off(rs, lam, mu, nu):
+        return value(rs, lam, mu, nu) + ((lam, mu, nu) == ((1, 0), (0, 1), (0, 0)))
+
+    monkeypatch.setattr(verify, "tensor_multiplicity", one_triple_off)
+    report = verify.verify_prv(restrict_type="A2")
+    assert report.failures == ["A2 lam=(1, 0) beta=(0, -1) mu=(0, 1): prv=1 racah-speiser=2"]
+
+
+def test_a_three_way_failure_names_its_triple_and_both_values(monkeypatch):
+    from fusionkit import verify
+
+    table = verify.fusion_table
+
+    def one_cell_off(rs, k, backend="walton"):
+        got = table(rs, k, backend)
+        if backend != "kacwalton":
+            return got
+        cell = ((1, 0), (1, 0), (0, 1))
+        return got._replace(coeffs={**got.coeffs, cell: got.coeffs.get(cell, 0) + 1})
+
+    monkeypatch.setattr(verify, "fusion_table", one_cell_off)
+    report = verify.verify_three_way(restrict_type="A2", restrict_level=1)
+    assert report.checks == 54
+    assert report.failures == ["A2 k=1 (1, 0)x(1, 0)->(0, 1): walton=1 kacwalton=2"]
+
 def test_fusion_table_unknown_backend_is_classified(a2):
     with pytest.raises(FusionkitError, match="unknown backend"):
         fusion_table(a2, 1, backend="nope")

@@ -208,6 +208,20 @@ def test_bad_operator_ids_raise_every_time_and_valid_ids_give_equal_blocks(a2):
         operator_power_block(module, "etheta", 1, (0, 0)) @ up
 
 
+@pytest.mark.parametrize("op", ["e\u0661", "e01", "e\u00b2"])  # int() reads these as 1, 1, error
+def test_operator_ids_are_ascii_indices_without_leading_zeros(a2, op):
+    module = cached_module(a2, (1, 1))
+    with pytest.raises(PreconditionError, match=f"unknown operator id {op!r}"):
+        operator_power_block(module, op, 1, (1, 1))
+
+
+def test_every_operator_id_form_is_read(a2):
+    module = cached_module(a2, (1, 1))
+    assert not operator_power_block(module, "e0", 1, (-1, 2)).is_zero()  # V_(-1,2) -> V_(1,1)
+    assert not operator_power_block(module, "f1", 1, (1, 1)).is_zero()
+    assert not operator_power_block(module, "etheta", 1, (-1, -1)).is_zero()
+    assert not operator_power_block(module, "ftheta", 1, (1, 1)).is_zero()
+
 def test_dimension_cap(a2):
     with pytest.raises(CapExceededError):
         build_module(a2, (3, 3), max_dim=10)
