@@ -49,7 +49,6 @@ from .rootdata import (
     dual_weight,
     form,
     is_dominant,
-    make_dominant,
     pairing,
     parse_cartan_type,
     reflect,
@@ -99,7 +98,6 @@ __all__ = [
     "is_dominant",
     "kac_walton_coefficient",
     "level_alcove",
-    "make_dominant",
     "operator_power_block",
     "pairing",
     "parse_cartan_type",

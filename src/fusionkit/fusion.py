@@ -14,6 +14,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from functools import cache, partial
 from itertools import permutations
+from operator import mul
 from typing import NamedTuple
 
 from .errors import CapExceededError, InternalError, ParseError, PreconditionError
@@ -29,9 +30,11 @@ from .repspace import (
 from .rootdata import (
     RootSystem,
     Weight,
+    dominant_weights_within,
     dual_weight,
     fold_dominant,
     is_dominant,
+    require_dominant,
     root_lattice_depth,
     simple_current,
     wadd,
@@ -56,7 +59,7 @@ def check_level(k: int) -> int:
 
 def theta_pairing(rs: RootSystem, w: Weight) -> int:
     """<w, theta> as an integer; theta is its own coroot here."""
-    return sum(c * x for c, x in zip(rs.comarks, w))
+    return sum(map(mul, rs.comarks, w))
 
 
 def in_alcove(rs: RootSystem, k: int, w: Weight) -> bool:
@@ -64,8 +67,7 @@ def in_alcove(rs: RootSystem, k: int, w: Weight) -> bool:
 
 
 def _require_alcove(rs: RootSystem, k: int, w: Weight, name: str) -> None:
-    if not is_dominant(w):
-        raise PreconditionError(f"{name} = {tuple(w)} is not dominant")
+    require_dominant(w, name)
     if theta_pairing(rs, w) > k:
         raise PreconditionError(
             f"level violation: <{name}, theta> = {theta_pairing(rs, w)} > k = {k}"
@@ -75,20 +77,7 @@ def _require_alcove(rs: RootSystem, k: int, w: Weight, name: str) -> None:
 def level_alcove(rs: RootSystem, k: int) -> list[Weight]:
     """All dominant weights with <lam, theta> <= k, sorted lexicographically."""
     check_level(k)
-    out: list[Weight] = []
-
-    def rec(prefix: tuple[int, ...], used: int):
-        i = len(prefix)
-        if i == rs.rank:
-            out.append(prefix)
-            return
-        c = 0
-        while used + c * rs.comarks[i] <= k:
-            rec(prefix + (c,), used + c * rs.comarks[i])
-            c += 1
-
-    rec((), 0)
-    return sorted(out)
+    return dominant_weights_within(rs.rank, lambda w: theta_pairing(rs, w) <= k)
 
 
 def alcove_dims(rs: RootSystem, k: int, max_dim: int) -> dict[Weight, int]:
@@ -139,10 +128,8 @@ def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
 
     Equals the tensor multiplicity of V^{beta+mu} in V^lam (x) V^mu.
     """
-    lam, beta, mu = tuple(lam), tuple(beta), tuple(mu)
-    for w, name in ((lam, "lam"), (mu, "mu"), (wadd(beta, mu), "beta+mu")):
-        if not is_dominant(w):
-            raise PreconditionError(f"{name} = {w} is not dominant")
+    lam, beta, mu = require_dominant(lam, "lam"), tuple(beta), require_dominant(mu, "mu")
+    require_dominant(wadd(beta, mu), "beta+mu")
     module = _module_with_weight(rs, lam, beta, max_dim)
     return _constrained_dimension(module, beta, _prv_constraints(mu))
 

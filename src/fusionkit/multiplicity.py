@@ -18,13 +18,15 @@ from math import prod
 from operator import mul
 from typing import Mapping
 
-from .errors import InternalError, PreconditionError
+from .errors import InternalError
 from .rootdata import (
     RootSystem,
     Weight,
+    dominant_weights_within,
     fold_dominant,
-    in_root_lattice_below,
     is_dominant,
+    require_dominant,
+    root_lattice_coords,
     shared,
     wadd,
     weyl_orbit,
@@ -53,9 +55,7 @@ class WeightDiagram:
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, evaluated exactly in integers."""
-    if not is_dominant(lam):
-        raise PreconditionError(f"{lam} is not dominant")
-    lam_rho, denom = wadd(lam, rs.rho), rs.weyl_denominator
+    lam_rho, denom = wadd(require_dominant(lam), rs.rho), rs.weyl_denominator
     num = prod(sum(map(mul, f, lam_rho)) for f in rs.root_functionals)
     dim, rem = divmod(num, denom)
     if rem:
@@ -70,8 +70,7 @@ def _support(rs: RootSystem, lam: Weight) -> tuple[dict[Weight, int], dict[Weigh
     dominant representative sits below lam in the root-lattice order; the
     support is connected upward, so a downward breadth-first walk finds it all.
     """
-    if not is_dominant(lam):
-        raise PreconditionError(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     depths, reps = {lam: 0}, {lam: lam}
     frontier = [lam]
     while frontier:
@@ -82,7 +81,7 @@ def _support(rs: RootSystem, lam: Weight) -> tuple[dict[Weight, int], dict[Weigh
                 cand = wsub(nu, a)
                 if cand not in depths:
                     rep = fold_dominant(rs, cand)[0]
-                    if in_root_lattice_below(rs, rep, lam):
+                    if root_lattice_coords(rs, rep, lam) is not None:
                         depths[cand], reps[cand] = d + 1, rep
                         nxt.append(cand)
         frontier = nxt
@@ -97,8 +96,7 @@ def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     positive root at a time (Stembridge 1998), so a walk over positive roots
     that stays dominant finds them all with no membership test.
     """
-    if not is_dominant(lam):
-        raise PreconditionError(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     # ht(alpha) = <alpha, rho^vee>, read off the column sums of the scaled Cartan inverse
     cols = [sum(col) for col in zip(*rs.cartan_inverse_num)]
     den = rs.cartan_inverse_den
@@ -219,21 +217,5 @@ def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
 
 
 def dominant_weights_up_to_dim(rs: RootSystem, dim_cap: int) -> list[Weight]:
-    """All dominant weights whose Weyl dimension is at most dim_cap."""
-    out: list[Weight] = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == rs.rank:
-            if weyl_dimension(rs, prefix) <= dim_cap:
-                out.append(prefix)
-            return
-        c = 0
-        while True:
-            cand = prefix + (c,) + (0,) * (rs.rank - len(prefix) - 1)
-            if weyl_dimension(rs, cand) > dim_cap:
-                break  # dimension grows in every coordinate
-            rec(prefix + (c,))
-            c += 1
-
-    rec(())
-    return sorted(out)
+    """All dominant weights whose Weyl dimension is at most dim_cap, sorted."""
+    return dominant_weights_within(rs.rank, lambda w: weyl_dimension(rs, w) <= dim_cap)

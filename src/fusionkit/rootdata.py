@@ -84,6 +84,32 @@ def is_dominant(w: Weight) -> bool:
     return all(x >= 0 for x in w)
 
 
+def require_dominant(w: Weight, name: str = "") -> Weight:
+    """w as a tuple, or PreconditionError naming it, and the argument ``name`` if given."""
+    w = tuple(w)
+    if not is_dominant(w):
+        raise PreconditionError(f"{name} = {w} is not dominant" if name else f"{w} is not dominant")
+    return w
+
+
+def dominant_weights_within(rank: int, fits: Callable[[Weight], bool]) -> list[Weight]:
+    """Every dominant weight w with fits(w), sorted, for a ``fits`` that holds below every
+    weight it holds at: a coordinate grows while the weight padded with zeros still fits."""
+    out: list[Weight] = []
+
+    def rec(prefix: Weight):
+        if len(prefix) == rank:
+            out.append(prefix)
+            return
+        pad, c = (0,) * (rank - len(prefix) - 1), 0
+        while fits(prefix + (c,) + pad):
+            rec(prefix + (c,))
+            c += 1
+
+    rec(())
+    return out
+
+
 def apply_matrix(m: tuple[tuple[int, ...], ...], w: Weight) -> Weight:
     return tuple(sum(row[c] * w[c] for c in range(len(w))) for row in m)
 
@@ -430,16 +456,6 @@ def fold_dominant(rs: RootSystem, x: Weight) -> tuple[Weight, int]:
     return x, -1 if steps % 2 else 1
 
 
-def make_dominant(rs: RootSystem, mu: Weight) -> tuple[Weight, int]:
-    """Rho-shifted fold of mu to the dominant chamber.
-
-    Returns (w(mu+rho)-rho, sign of w) when mu+rho is regular; sign 0 when
-    mu+rho lies on a reflection wall (the weight slot is then meaningless).
-    """
-    x, sign = fold_dominant(rs, wadd(mu, rs.rho))
-    return wsub(x, rs.rho), (0 if 0 in x else sign)
-
-
 def root_lattice_coords(rs: RootSystem, lower: Weight, upper: Weight) -> tuple[int, ...] | None:
     """upper - lower in simple-root coordinates when they are nonnegative integers, else None.
 
@@ -463,11 +479,6 @@ def root_lattice_depth(rs: RootSystem, lower: Weight, upper: Weight) -> int | No
     return None if coords is None else sum(coords)
 
 
-def in_root_lattice_below(rs: RootSystem, lower: Weight, upper: Weight) -> bool:
-    """Whether upper - lower is a nonnegative integer sum of simple roots."""
-    return root_lattice_depth(rs, lower, upper) is not None
-
-
 def weyl_orbit(rs: RootSystem, mu: Weight) -> list[list[Weight]]:
     """The W-orbit of a dominant weight, walked down by simple reflections.
 
@@ -475,9 +486,7 @@ def weyl_orbit(rs: RootSystem, mu: Weight) -> list[list[Weight]]:
     taken at a positive coordinate. For a regular mu (rho) the walk meets each
     w in W once, and level d is {w mu : w has length d}.
     """
-    if not is_dominant(mu):
-        raise PreconditionError(f"{tuple(mu)} is not dominant")
-    levels = [[tuple(mu)]]
+    levels = [[require_dominant(mu)]]
     seen = set(levels[0])
     while True:
         nxt = []

@@ -24,6 +24,7 @@ from .rootdata import (
     Weight,
     apply_matrix,
     is_dominant,
+    require_dominant,
     root_lattice_depth,
     shared,
     wadd,
@@ -47,12 +48,6 @@ class WeightString(NamedTuple):
     up: int
 
 
-def _require_dominant(*weights: Weight) -> None:
-    for w in weights:
-        if not is_dominant(w):
-            raise PreconditionError(f"{tuple(w)} is not dominant")
-
-
 _ORBIT_MEMO: dict[tuple[RootSystem, Weight], tuple[Weight, ...]] = {}
 
 
@@ -64,7 +59,7 @@ def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> tuple[Weight, ...]:
 
 def tensor_multiplicity(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight) -> int:
     """Copies of V^nu in V^lam (x) V^mu: sum_w eps(w) m_lam(nu+rho - w(mu+rho))."""
-    _require_dominant(lam, mu, nu)
+    lam, mu, nu = map(require_dominant, (lam, mu, nu))
     group = weyl_elements(rs)
     get = weight_diagram(rs, lam).table.get
     nu_rho = wadd(nu, rs.rho)
@@ -80,7 +75,7 @@ def tensor_multiplicity(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight) -> 
 
 def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> TensorDecomposition:
     """Full decomposition of V^lam (x) V^mu into irreducibles."""
-    _require_dominant(lam, mu)
+    lam, mu = require_dominant(lam), require_dominant(mu)
     diagram = weight_diagram(rs, lam)
     terms: dict[Weight, int] = {}
     for beta in diagram.table:
@@ -90,7 +85,7 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> TensorDecomposi
         m = tensor_multiplicity(rs, lam, mu, nu)
         if m:
             terms[nu] = m
-    return TensorDecomposition(left=tuple(lam), right=tuple(mu), terms=dict(sorted(terms.items())))
+    return TensorDecomposition(left=lam, right=mu, terms=dict(sorted(terms.items())))
 
 
 def product_diagram(d1: WeightDiagram, d2: WeightDiagram) -> dict[Weight, int]:
@@ -105,7 +100,7 @@ def product_diagram(d1: WeightDiagram, d2: WeightDiagram) -> dict[Weight, int]:
 
 def greedy_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """Independent decomposition oracle by repeated top-weight peeling."""
-    _require_dominant(lam, mu)
+    lam, mu = require_dominant(lam), require_dominant(mu)
     remaining = product_diagram(weight_diagram(rs, lam), weight_diagram(rs, mu))
     top = wadd(lam, mu)
     depths: dict[Weight, int] = {}

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from functools import cache
 
@@ -19,6 +20,8 @@ from fusionkit import (
     kac_walton_coefficient,
     level_alcove,
     prv_dimension,
+    reflect,
+    stability_threshold,
     tensor_multiplicity,
     walton_dimension,
     weight_diagram,
@@ -35,7 +38,7 @@ from fusionkit.fusion import (
     check_level,
     theta_pairing,
 )
-from fusionkit.rootdata import simple_current, wadd, wsub
+from fusionkit.rootdata import simple_current, wadd, weyl_orbit, wsub
 
 
 def test_level_alcove(a1, a2):
@@ -48,6 +51,39 @@ def test_level_alcove(a1, a2):
         level_alcove(a2, 0)
     with pytest.raises(PreconditionError):
         check_level("2")
+
+
+# (0, -1) is the lowest weight of V^(1,0) on A2: beta = (0, -1) and mu = 0 put beta+mu
+# off the chamber
+_REFUSED_BY_NAME = {
+    "fusion_coefficient": (lambda rs: fusion_coefficient(rs, 2, (1, 0), (1, -1), (1, 0)),
+                           "mu = (1, -1) is not dominant"),
+    "walton_dimension": (lambda rs: walton_dimension(rs, 2, (1, 0), (0, -1), (0, 0)),
+                         "beta+mu = (0, -1) is not dominant"),
+    "prv_dimension": (lambda rs: prv_dimension(rs, (1, 0), (0, -1), (0, 0)),
+                      "beta+mu = (0, -1) is not dominant"),
+    "prv_dimension-lam": (lambda rs: prv_dimension(rs, (1, -1), (0, 0), (0, 0)),
+                          "lam = (1, -1) is not dominant"),
+    "kac_walton_coefficient": (lambda rs: kac_walton_coefficient(rs, 2, (1, -1), (0, 0), (0, 0)),
+                               "lam = (1, -1) is not dominant"),
+    "fz_dimension": (lambda rs: fz_dimension(rs, 2, (0, 0), (0, 0), (1, -1)),
+                     "nu = (1, -1) is not dominant"),
+    "tensor_multiplicity": (lambda rs: tensor_multiplicity(rs, (1, 0), (0, 1), (1, -1)),
+                            "(1, -1) is not dominant"),
+    "weight_diagram": (lambda rs: weight_diagram(rs, (1, -1)), "(1, -1) is not dominant"),
+    "weyl_dimension": (lambda rs: weyl_dimension(rs, [1, -1]), "(1, -1) is not dominant"),
+    "weyl_orbit": (lambda rs: weyl_orbit(rs, (1, -1)), "(1, -1) is not dominant"),
+    "reflect": (lambda rs: reflect(rs, 2, (1, 0)), "simple root index 2 out of range for A2"),
+    "stability_threshold": (lambda rs: stability_threshold(weight_diagram(rs, (1, 0)), (1, 0), -1),
+                            "simple root index -1 out of range for A2"),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSED_BY_NAME)
+def test_a_weight_off_the_chamber_or_a_bad_root_index_is_refused_by_name(a2, name):
+    call, message = _REFUSED_BY_NAME[name]
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call(a2)
 
 
 def test_theta_pairing_is_comark_sum(a2, g2):

@@ -16,7 +16,7 @@ from fusionkit import multiplicity
 from fusionkit.multiplicity import dominant_weights, dominant_weights_up_to_dim
 from fusionkit.rootdata import (
     apply_matrix,
-    in_root_lattice_below,
+    root_lattice_coords,
     root_lattice_depth,
     wadd,
     weyl_elements,
@@ -73,7 +73,7 @@ def test_diagram_invariants(name, lam):
         for nu, m in d.table.items():
             assert d.table[apply_matrix(mat, nu)] == m
     for nu in d.table:
-        assert in_root_lattice_below(rs, nu, lam)
+        assert root_lattice_coords(rs, nu, lam) is not None
 
 
 @pytest.mark.parametrize("name,cap", [("A1", 40), ("A2", 120), ("B2", 120), ("G2", 100)])

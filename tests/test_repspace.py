@@ -14,7 +14,7 @@ from fusionkit import (
     weight_diagram,
 )
 from fusionkit.linalg import RationalMatrix
-from fusionkit.rootdata import in_root_lattice_below, wadd, wneg, wsub
+from fusionkit.rootdata import root_lattice_coords, wadd, wneg, wsub
 
 
 def _block(module, op, shift, src):
@@ -497,7 +497,7 @@ def _fresh(rs, lam):
 
 def _cone(rs, weights, beta):
     """The weights gamma with gamma - beta in Q+."""
-    return {g for g in weights if in_root_lattice_below(rs, beta, g)}
+    return {g for g in weights if root_lattice_coords(rs, beta, g) is not None}
 
 
 @pytest.mark.parametrize("name, k, lam, beta, sizes", [

@@ -13,14 +13,16 @@ from fusionkit import (
     build_root_system,
     dual_weight,
     form,
-    make_dominant,
+    level_alcove,
     pairing,
     parse_cartan_type,
     reflect,
+    theta_pairing,
     weyl_dimension,
     weyl_elements,
 )
 from fusionkit.linalg import RationalMatrix
+from fusionkit.multiplicity import dominant_weights_up_to_dim
 from fusionkit.rootdata import (
     WEYL_ORDER_CAP,
     CartanType,
@@ -29,6 +31,7 @@ from fusionkit.rootdata import (
     shared,
     wadd,
     wneg,
+    wscale,
     wsub,
 )
 
@@ -98,6 +101,25 @@ def test_root_system_records_print_and_count_as_plain_type_names(name):
     assert rs.rank == rs.cartan_type.rank == rank == len(rs.simple_roots)
     assert rs.weyl_order == _weyl_order(series, rank)
     assert build_root_system(CartanType(series, rank)) is rs
+
+
+@pytest.mark.parametrize("name", SUPPORTED_UP_TO_RANK_8)
+def test_both_dominant_weight_listings_are_a_filtered_coordinate_box(name):
+    """``level_alcove`` and ``dominant_weights_up_to_dim`` list, in order, exactly the
+    weights of a box that pass their bound. The alcove box is a_j w_j <= k; the dimension
+    box stops each coordinate where c omega_j passes the cap, since dim V^w grows in every
+    coordinate."""
+    rs = build_root_system(name)
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    for k in (1, 2, 3):
+        box = itertools.product(*(range(k // a + 1) for a in rs.comarks))
+        assert level_alcove(rs, k) == [w for w in box if theta_pairing(rs, w) <= k]
+    for cap in (1, 60, 400):
+        tops = [next(c for c in itertools.count() if weyl_dimension(rs, wscale(c + 1, u)) > cap)
+                for u in units]
+        box = itertools.product(*(range(top + 1) for top in tops))
+        assert dominant_weights_up_to_dim(rs, cap) == [
+            w for w in box if weyl_dimension(rs, w) <= cap]
 
 
 @pytest.mark.parametrize("name", SUPPORTED_UP_TO_RANK_8)
@@ -191,10 +213,10 @@ def test_theta_normalization_and_comarks(name):
 @pytest.mark.parametrize("name", TYPES)
 def test_theta_is_maximal_root(name):
     rs = build_root_system(name)
-    from fusionkit.rootdata import in_root_lattice_below
+    from fusionkit.rootdata import root_lattice_coords
 
     for beta in rs.positive_roots:
-        assert in_root_lattice_below(rs, beta, rs.theta)
+        assert root_lattice_coords(rs, beta, rs.theta) is not None
 
 
 def _w0_word(rs):
@@ -373,26 +395,26 @@ def test_dual_weight_is_involution(name):
         assert all(c >= 0 for c in dual_weight(rs, w))
 
 
-def test_make_dominant_examples(a1):
-    assert make_dominant(a1, (3,)) == ((3,), 1)
-    assert make_dominant(a1, (-1,))[1] == 0  # mu + rho on the wall
-    assert make_dominant(a1, (-2,)) == ((0,), -1)
+def test_fold_dominant_examples(a1):
+    # mu + rho for mu = 3, -1 and -2
+    assert fold_dominant(a1, (4,)) == ((4,), 1)
+    assert 0 in fold_dominant(a1, (0,))[0]  # on the wall
+    assert fold_dominant(a1, (-1,)) == ((1,), -1)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-def test_make_dominant_is_orbit_invariant(name):
+def test_fold_dominant_is_orbit_invariant(name):
+    """Every w(mu + rho) folds to the point of mu + rho, with sign eps(w) times its sign,
+    and a point on a wall is seen as a zero coordinate."""
     rs = build_root_system(name)
     rng = random.Random(5)
     for _ in range(25):
-        mu = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
-        rep, sign = make_dominant(rs, mu)
+        x = wadd(tuple(rng.randint(-4, 4) for _ in range(rs.rank)), rs.rho)
+        point, sign = fold_dominant(rs, x)
         for mat, wsign in weyl_elements(rs):
-            moved = wsub(apply_matrix(mat, wadd(mu, rs.rho)), rs.rho)
-            rep2, sign2 = make_dominant(rs, moved)
-            if sign == 0:
-                assert sign2 == 0
-            else:
-                assert rep2 == rep and sign2 == sign * wsign
+            point2, sign2 = fold_dominant(rs, apply_matrix(mat, x))
+            assert point2 == point
+            assert (0 in point) or sign2 == sign * wsign
 
 
 def test_dominant_in_orbit(a2):
