@@ -14,7 +14,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from functools import cache, partial
 from itertools import permutations
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import CapExceededError, InternalError, ParseError, PreconditionError
@@ -247,14 +247,11 @@ def kac_walton_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: 
 # -- Frenkel-Zhu backend on the explicit tensor product ------------------------
 
 def _slice_pairs(mod_l: RepModule, mod_r: RepModule, gamma: Weight):
-    """Ordered (b1, b2, dim V^lam_b1, dim V^mu_b2) with b1 + b2 = gamma, both present."""
-    pairs = []
-    for b1 in sorted(mod_l.basis_index):
-        b2 = wsub(gamma, b1)
-        d2 = mod_r.dim_at(b2)
-        if d2:
-            pairs.append((b1, b2, mod_l.dim_at(b1), d2))
-    return pairs
+    """(b1, b2, dim V^lam_b1, dim V^mu_b2) with b1 + b2 = gamma, both present, read off the
+    two diagrams in V^lam's diagram order, which is fixed for the module."""
+    get = mod_r.diagram.table.get
+    return [(b1, b2, d1, d2) for b1, d1 in mod_l.diagram.table.items()
+            if (d2 := get(b2 := tuple(map(sub, gamma, b1))))]
 
 
 def _slice_map(mod_l: RepModule, mod_r: RepModule, gamma: Weight, shift: Weight,

@@ -14,8 +14,10 @@ at arbitrary arguments.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import chain
 from math import prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Mapping
 
 from .errors import InternalError
@@ -30,7 +32,6 @@ from .rootdata import (
     shared,
     wadd,
     weyl_orbit,
-    wsub,
 )
 
 
@@ -53,8 +54,15 @@ class WeightDiagram:
         return sum(self.table.values())
 
 
+_DIMENSION_MEMO: dict[tuple[RootSystem, Weight], int] = {}
+
+
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """Weyl dimension formula, evaluated exactly in integers."""
+    """dim V^lam by the Weyl dimension formula, shared per (root system, lam)."""
+    return shared(_DIMENSION_MEMO, (rs, tuple(lam)), lambda: _weyl_formula(rs, lam))
+
+
+def _weyl_formula(rs: RootSystem, lam: Weight) -> int:  # exactly, in integers
     lam_rho, denom = wadd(require_dominant(lam), rs.rho), rs.weyl_denominator
     num = prod(sum(map(mul, f, lam_rho)) for f in rs.root_functionals)
     dim, rem = divmod(num, denom)
@@ -72,16 +80,17 @@ def _support(rs: RootSystem, lam: Weight) -> tuple[dict[Weight, int], dict[Weigh
     """
     lam = require_dominant(lam)
     depths, reps = {lam: 0}, {lam: lam}
+    below = cache(lambda rep: root_lattice_coords(rs, rep, lam) is not None)  # once per rep
     frontier = [lam]
     while frontier:
         nxt = []
         for nu in frontier:
             d = depths[nu]
             for a in rs.simple_roots:
-                cand = wsub(nu, a)
+                cand = tuple(map(sub, nu, a))
                 if cand not in depths:
                     rep = fold_dominant(rs, cand)[0]
-                    if root_lattice_coords(rs, rep, lam) is not None:
+                    if below(rep):
                         depths[cand], reps[cand] = d + 1, rep
                         nxt.append(cand)
         frontier = nxt
@@ -107,7 +116,7 @@ def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
         nxt = []
         for nu in frontier:
             for alpha, height in steps:
-                cand = wsub(nu, alpha)
+                cand = tuple(map(sub, nu, alpha))
                 if cand not in depths and is_dominant(cand):
                     depths[cand] = depths[nu] + height
                     nxt.append(cand)
@@ -135,41 +144,39 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     lam = tuple(lam)
     depths = dominant_weights(rs, lam)
     # everything scaled by D = form_den, which cancels in the quotient: D (., alpha) and D |x|^2
-    sym, funcs = rs.form_num, rs.root_functionals
+    sym, rho = rs.form_num, rs.rho
 
-    def norm(x: Weight) -> int:
+    def norm(x: Weight) -> int:  # D |x + rho|^2
+        x = tuple(map(add, x, rho))
         return sum(a * sum(map(mul, row, x)) for a, row in zip(x, sym) if a)
 
-    top_norm = norm(wadd(lam, rs.rho))
-    table: dict[Weight, int] = {}
-    tails: list[dict[Weight, int]] = [{} for _ in funcs]
-    for nu in sorted(depths, key=lambda nu: (depths[nu], nu)):
-        if nu == lam:
-            value = 1
-        else:
-            # Dominant weights are taken highest first, and every weight above nu
-            # lies in the orbit of a dominant weight of smaller depth, which is
-            # already in the table. Weight strings are unbroken, so the walk up
-            # from nu + alpha stops at the top of the string or at the suffix sum
-            # an earlier dominant weight on it left, and each suffix sum is final
-            # when it is written.
-            acc = 0
-            for alpha, f, tail in zip(rs.positive_roots, funcs, tails):
-                start = cur = wadd(nu, alpha)
-                pair, step = sum(map(mul, f, cur)), sum(map(mul, f, alpha))
-                string = 0
-                while (rest := tail.get(cur)) is None and (m := table.get(cur)) is not None:
-                    string += m * pair  # pair = D (cur, alpha), growing by D (alpha, alpha)
-                    pair += step
-                    cur = wadd(cur, alpha)
-                tail[start] = string = string + (rest or 0)
-                acc += string
-            denom = top_norm - norm(wadd(nu, rs.rho))
-            value, rem = divmod(2 * acc, denom)
-            if rem or value < 1:
-                raise InternalError(f"Freudenthal gives {2 * acc}/{denom} at {nu} in V^{lam}")
-        for level in weyl_orbit(rs, nu):
-            table.update(dict.fromkeys(level, value))
+    table = dict.fromkeys(chain.from_iterable(weyl_orbit(rs, lam)), 1)
+    top_norm, get = norm(lam), table.get
+    # per positive root: alpha, D (., alpha), D (alpha, alpha) and the suffix sums of its strings
+    roots = [(alpha, f, sum(map(mul, f, alpha)), {})
+             for alpha, f in zip(rs.positive_roots, rs.root_functionals)]
+    for nu in sorted(depths, key=lambda nu: (depths[nu], nu))[1:]:  # lam, at depth 0, is done
+        # Dominant weights are taken highest first, and every weight above nu
+        # lies in the orbit of a dominant weight of smaller depth, which is
+        # already in the table. Weight strings are unbroken, so the walk up
+        # from nu + alpha stops at the top of the string or at the suffix sum
+        # an earlier dominant weight on it left, and each suffix sum is final
+        # when it is written.
+        acc = 0
+        for alpha, f, step, tail in roots:
+            start = cur = tuple(map(add, nu, alpha))
+            pair, string = sum(map(mul, f, cur)), 0
+            while (rest := tail.get(cur)) is None and (m := get(cur)) is not None:
+                string += m * pair  # pair = D (cur, alpha), growing by D (alpha, alpha)
+                pair += step
+                cur = tuple(map(add, cur, alpha))
+            tail[start] = string = string + (rest or 0)
+            acc += string
+        denom = top_norm - norm(nu)
+        value, rem = divmod(2 * acc, denom)
+        if rem or value < 1:
+            raise InternalError(f"Freudenthal gives {2 * acc}/{denom} at {nu} in V^{lam}")
+        table.update(dict.fromkeys(chain.from_iterable(weyl_orbit(rs, nu)), value))
 
     diagram = WeightDiagram(highest=lam, table=table, root_system=rs)
     if diagram.dimension != weyl_dimension(rs, lam):
@@ -189,23 +196,15 @@ def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     """
     lam = tuple(lam)
     depths, reps = _support(rs, lam)
-    dominants = sorted(
-        (nu for nu in depths if is_dominant(nu)), key=lambda nu: (depths[nu], nu)
-    )
-    shifts = [
-        (wsub(rs.rho, x), -1 if length % 2 else 1)
-        for length, level in enumerate(weyl_orbit(rs, rs.rho))
-        if length
-        for x in level
-    ]
-    mult: dict[Weight, int] = {}
-    for nu in dominants:
-        if nu == lam:
-            mult[nu] = 1
-            continue
+    # every weight of V^lam folds to a dominant weight of V^lam, which is its own representative
+    dominants = sorted(set(reps.values()), key=lambda nu: (depths[nu], nu))
+    shifts = [(tuple(map(sub, rs.rho, x)), -1 if length % 2 else 1)
+              for length, level in enumerate(weyl_orbit(rs, rs.rho)) if length for x in level]
+    mult = {lam: 1}
+    for nu in dominants[1:]:  # lam, at depth 0, is done
         acc = 0
         for shift, sign in shifts:
-            rep = reps.get(wadd(nu, shift))
+            rep = reps.get(tuple(map(add, nu, shift)))
             if rep is not None:
                 acc += sign * mult[rep]
         value = -acc

@@ -81,7 +81,7 @@ def wscale(c: int, a: Weight) -> Weight:
 
 
 def is_dominant(w: Weight) -> bool:
-    return all(x >= 0 for x in w)
+    return not w or min(w) >= 0
 
 
 def require_dominant(w: Weight, name: str = "") -> Weight:
@@ -124,13 +124,19 @@ def _reflect_rows(simple, i: int, m):
 
 
 def _fold(simple_roots, x: Weight, skip: int | None = None) -> tuple[Weight, int]:
-    """Reflect x at its first negative coordinate but ``skip`` until none: (point, reflections)."""
-    steps = 0
-    while (i := next((i for i, c in enumerate(x) if c < 0 and i != skip), None)) is not None:
+    """Reflect x at its first negative coordinate but ``skip`` until none: (point, reflections).
+    One list is reflected in place, and the scan restarts from the front after each step."""
+    x, steps, i, n = list(x), 0, 0, len(x)
+    while i < n:
         c = x[i]
-        x = tuple([a - c * b for a, b in zip(x, simple_roots[i])])
-        steps += 1
-    return x, steps
+        if c < 0 and i != skip:
+            for j, b in enumerate(simple_roots[i]):
+                if b:
+                    x[j] -= c * b
+            steps, i = steps + 1, 0
+        else:
+            i += 1
+    return tuple(x), steps
 
 
 # -- Dynkin diagram data -----------------------------------------------------
@@ -486,17 +492,14 @@ def weyl_orbit(rs: RootSystem, mu: Weight) -> list[list[Weight]]:
     taken at a positive coordinate. For a regular mu (rho) the walk meets each
     w in W once, and level d is {w mu : w has length d}.
     """
-    levels = [[require_dominant(mu)]]
-    seen = set(levels[0])
-    while True:
-        nxt = []
+    level, simple = [require_dominant(mu)], rs.simple_roots
+    levels, seen = [], set(level)
+    while level:
+        levels.append(level)
+        level = []
         for x in levels[-1]:
-            for i, c in enumerate(x):
-                if c > 0:
-                    y = reflect(rs, i, x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        if not nxt:
-            return levels
-        levels.append(nxt)
+            for i, c in enumerate(x):  # r_i x at each positive coordinate, as ``reflect`` does
+                if c > 0 and (y := tuple([a - c * b for a, b in zip(x, simple[i])])) not in seen:
+                    seen.add(y)
+                    level.append(y)
+    return levels

@@ -12,7 +12,9 @@ from fusionkit import (
     weight_diagram,
     weyl_dimension,
 )
-from fusionkit import multiplicity
+from fusionkit import fusion, multiplicity, repspace
+from fusionkit.cli import main
+from fusionkit.fusion import level_alcove
 from fusionkit.multiplicity import dominant_weights, dominant_weights_up_to_dim
 from fusionkit.rootdata import (
     apply_matrix,
@@ -100,17 +102,48 @@ def test_recursion_matches_freudenthal_on_long_strings(name, lams):
 
 
 def test_freudenthal_sums_each_string_once(a1, monkeypatch):
-    """Summing each alpha-string afresh per weight takes ~n^2/8 steps on V^(n) of A1."""
+    """Summing each alpha-string afresh per weight takes ~n^2/8 steps on V^(n) of A1.
+
+    The walk starts at nu + alpha and steps by ``tuple(map(add, cur, alpha))``: on A1
+    one ``add`` with alpha's coordinate 2 (nu + rho adds rho's 1). Each of the n/2
+    dominant weights below n starts once and takes at least one step, so the lower
+    bound fails if the walk stops going through ``add``.
+    """
     calls = 0
 
-    def counting_wadd(a, b):
+    def counting_add(a, b):
         nonlocal calls
-        calls += 1
-        return wadd(a, b)
+        calls += b == 2
+        return a + b
 
-    monkeypatch.setattr(multiplicity, "wadd", counting_wadd)
+    monkeypatch.setattr(multiplicity, "add", counting_add)
     assert freudenthal_diagram(a1, (400,)).dimension == 401
-    assert calls <= 4 * 401
+    assert 400 <= calls <= 4 * 401
+
+
+def test_weyl_dimension_is_evaluated_once_per_weight_on_a_cold_table(monkeypatch, tmp_path):
+    """The CLI checks the alcove, ``fusion_table`` checks it again and every module build
+    reads dim V^lam; the formula runs once per (root system, weight) all the same."""
+    for memo in ("_DIMENSION_MEMO", "_DIAGRAM_MEMO"):
+        monkeypatch.setattr(multiplicity, memo, {})
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    formula, calls, evaluated = multiplicity._weyl_formula, [], []
+
+    def counting_formula(rs, lam):
+        evaluated.append((rs, tuple(lam)))
+        return formula(rs, lam)
+
+    def counting_dimension(rs, lam, dimension=multiplicity.weyl_dimension):
+        calls.append(tuple(lam))
+        return dimension(rs, lam)
+
+    monkeypatch.setattr(multiplicity, "_weyl_formula", counting_formula)
+    for module in (multiplicity, repspace, fusion):
+        monkeypatch.setattr(module, "weyl_dimension", counting_dimension)
+    assert main(["fusion", "A2", "--level", "3", "--cache-dir", str(tmp_path)]) == 0
+    alcove = level_alcove(build_root_system("A2"), 3)
+    assert sorted(lam for _, lam in evaluated) == alcove  # once each, and only alcove weights
+    assert len(calls) >= 2 * len(alcove)  # the CLI and fusion_table each check every one
 
 
 def test_recursion_oracle_is_independent_of_freudenthal(a2, monkeypatch):

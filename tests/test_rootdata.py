@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -26,11 +27,13 @@ from fusionkit.multiplicity import dominant_weights_up_to_dim
 from fusionkit.rootdata import (
     WEYL_ORDER_CAP,
     CartanType,
+    _fold,
     apply_matrix,
     fold_dominant,
     shared,
     wadd,
     wneg,
+    weyl_orbit,
     wscale,
     wsub,
 )
@@ -428,8 +431,6 @@ def test_dominant_in_orbit(a2):
 
 @pytest.mark.parametrize("name", TYPES)
 def test_rho_orbit_walk_meets_each_weyl_element_once_at_its_length(name):
-    from fusionkit.rootdata import weyl_orbit
-
     rs = build_root_system(name)
     levels = weyl_orbit(rs, rs.rho)
     assert len(levels) == len(rs.positive_roots) + 1  # the longest element has length |Phi+|
@@ -442,10 +443,67 @@ def test_rho_orbit_walk_meets_each_weyl_element_once_at_its_length(name):
             assert all(by_image[x] == (-1) ** length for x in level)
 
 
+def _fold_one_reflection_at_a_time(rs, x, skip=None):
+    """The chamber fold as specified: ``reflect`` at the first negative coordinate but
+    ``skip``, one reflection per step, until there is none; (point, steps)."""
+    steps = 0
+    while (i := next((i for i, c in enumerate(x) if c < 0 and i != skip), None)) is not None:
+        x, steps = reflect(rs, i, x), steps + 1
+    return x, steps
+
+
+@pytest.mark.parametrize("name", SUPPORTED_UP_TO_RANK_8)
+def test_the_chamber_fold_reflects_as_one_reflection_at_a_time_would(name):
+    """``_fold`` reflects one list in place; it must reach the same point in the same number
+    of steps as reflecting a tuple at a time, with and without a skipped node."""
+    rs = build_root_system(name)
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(40):
+        x = tuple(rng.randint(-5, 5) for _ in range(rs.rank))
+        for skip in (None, *range(rs.rank)):
+            assert _fold(rs.simple_roots, x, skip) == _fold_one_reflection_at_a_time(rs, x, skip)
+        point, steps = _fold_one_reflection_at_a_time(rs, x)
+        assert fold_dominant(rs, x) == (point, (-1) ** steps)
+
+
+def _orbit_walk_through_reflect(rs, mu):
+    """The orbit walk as specified: each level reflects the last at every positive coordinate,
+    in order, through the range-checked ``reflect``, keeping the points not seen before."""
+    levels = [[mu]]
+    seen = {mu}
+    while True:
+        nxt = []
+        for x in levels[-1]:
+            for i, c in enumerate(x):
+                if c > 0 and (y := reflect(rs, i, x)) not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
+def test_rho_orbit_levels_are_listed_as_the_reflect_walk_lists_them():
+    """The levels of the orbit of rho, as lists: the order fixes the recursion's shifts and
+    every diagram's key order. The digest was taken from the walk through ``reflect``."""
+    names = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
+    digest = hashlib.sha256()
+    for name in names:
+        rs = build_root_system(name)
+        levels = weyl_orbit(rs, rs.rho)
+        assert levels == _orbit_walk_through_reflect(rs, rs.rho)
+        digest.update(repr(levels).encode())
+    assert digest.hexdigest() == "6e21c1a3c6721fb8bda8d184b4ed4f0ec56e515e04ff5af170fd979280d14249"
+    for name in ("A3", "B3", "C3", "G2", "F4"):
+        rs = build_root_system(name)
+        rng = random.Random(3)
+        for _ in range(5):
+            mu = tuple(rng.choice((0, 0, 1, 2)) for _ in range(rs.rank))
+            assert weyl_orbit(rs, mu) == _orbit_walk_through_reflect(rs, mu)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2"])
 def test_orbit_walk_of_a_dominant_weight_is_its_weyl_orbit(name):
-    from fusionkit.rootdata import weyl_orbit
-
     rs = build_root_system(name)
     rng = random.Random(11)
     for _ in range(10):
