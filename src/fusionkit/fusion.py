@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable
-from functools import cache, partial
+from functools import partial
 from itertools import permutations
 from operator import mul, sub
 from typing import NamedTuple
@@ -30,13 +30,13 @@ from .repspace import (
 from .rootdata import (
     RootSystem,
     Weight,
+    current_orbit,
     dominant_weights_within,
     dual_weight,
     fold_dominant,
     is_dominant,
     require_dominant,
     root_lattice_depth,
-    simple_current,
     wadd,
     wneg,
     wscale,
@@ -160,9 +160,7 @@ def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weig
     check_dim_cap(rs, lam, max_dim)
     if wsub(nu, mu) not in weight_diagram(rs, lam).table:
         return 0
-    nodes = [j for j, m in enumerate(rs.marks) if m == 1]
-    orbit = cache(lambda w: (w, *(simple_current(rs, k, j, w) for j in nodes)))  # [x] is J_x w
-    triples = _equivalent_triples(rs, lam, mu, nu, orbit)
+    triples = _equivalent_triples(rs, lam, mu, nu, partial(current_orbit, rs, k))
     dims = {a: weyl_dimension(rs, a) for a in {a for a, _, _ in triples}}
     return _class_value(rs, k, triples, dims, max_dim)
 
@@ -254,16 +252,13 @@ def _slice_pairs(mod_l: RepModule, mod_r: RepModule, gamma: Weight):
             if (d2 := get(b2 := tuple(map(sub, gamma, b1))))]
 
 
-def _slice_map(mod_l: RepModule, mod_r: RepModule, gamma: Weight, shift: Weight,
-               left, right=None) -> RationalMatrix:
-    """X (x) 1 + 1 (x) Y from the gamma slice of V^lam (x) V^mu into the gamma + shift slice.
+def _slice_map(src, tgt, shift: Weight, left, right=None) -> RationalMatrix:
+    """X (x) 1 + 1 (x) Y from the slice listed in src into the one shift above it, listed in tgt.
 
-    left(b1) is the block of X out of V^lam_{b1} and right(b2) that of Y out
-    of V^mu_{b2}; each is read only where its target slot is present.
-    right=None means Y = 0.
+    src and tgt are ``_slice_pairs`` lists. left(b1) is the block of X out of
+    V^lam_{b1} and right(b2) that of Y out of V^mu_{b2}; each is read only where
+    its target slot is present. right=None means Y = 0.
     """
-    src = _slice_pairs(mod_l, mod_r, gamma)
-    tgt = _slice_pairs(mod_l, mod_r, wadd(gamma, shift))
     at = {(b1, b2): t for t, (b1, b2, _, _) in enumerate(tgt)}
     blocks = {}
     for s, (b1, b2, d1, d2) in enumerate(src):
@@ -305,7 +300,7 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     pairs = _slice_pairs(mod_l, mod_r, target)
     if not pairs:
         return 0
-    lowering = [_slice_map(mod_l, mod_r, target, wneg(alpha),
+    lowering = [_slice_map(pairs, _slice_pairs(mod_l, mod_r, wsub(target, alpha)), wneg(alpha),
                            partial(operator_power_block, mod_l, f"f{j}", 1),
                            partial(operator_power_block, mod_r, f"f{j}", 1))
                 for j, alpha in enumerate(rs.simple_roots)]
@@ -316,7 +311,7 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     p = k - theta_pairing(rs, nu) + 1
     shift = wscale(p, rs.theta)
     power = _slice_map(  # e_theta^p (x) 1 into the target slice
-        mod_l, mod_r, wsub(target, shift), shift,
+        _slice_pairs(mod_l, mod_r, wsub(target, shift)), pairs, shift,
         lambda b1: operator_power_block(mod_l, "etheta", p, b1),
     )
     sizes = [d1 * d2 for *_, d1, d2 in pairs]
@@ -353,19 +348,6 @@ class FusionTable(NamedTuple):
 FUSION_BACKENDS = ("walton", "kacwalton", "fz")
 
 
-def _current_group(rs: RootSystem, k: int, alcove: list[Weight]) -> list[dict[Weight, Weight]]:
-    """The simple currents as permutations of the level-k alcove, identity first."""
-    group = [{w: w for w in alcove}]
-    for j in (j for j, m in enumerate(rs.marks) if m == 1):
-        perm = {w: simple_current(rs, k, j, w) for w in alcove}
-        k_omega_j = tuple(k * (i == j) for i in range(rs.rank))
-        if sorted(perm.values()) != alcove or perm[alcove[0]] != k_omega_j:
-            raise InternalError(f"J_{j} of {rs} at level {k} is not an alcove permutation "
-                                f"taking 0 to {k_omega_j}")
-        group.append(perm)
-    return group
-
-
 def _walton_cells(rs: RootSystem, k: int, alcove: list[Weight], dims: dict[Weight, int],
                   max_dim: int) -> dict[tuple[Weight, Weight], dict[Weight, int]]:
     """{(lam, mu): {nu: N^(k)nu_{lam,mu}}} for the nonzero cells, one ``_class_value`` per class.
@@ -374,8 +356,9 @@ def _walton_cells(rs: RootSystem, k: int, alcove: list[Weight], dims: dict[Weigh
     least of its current orbit and the orbits of b and t hold nothing smaller. A class
     of nonzero value passes on its member whose a has the least dimension in the class.
     """
-    group = _current_group(rs, k, alcove)
-    orbits = {w: tuple(current[w] for current in group) for w in alcove}
+    orbits = {w: current_orbit(rs, k, w) for w in alcove}
+    if any(sorted(images) != alcove for images in zip(*orbits.values())):
+        raise InternalError(f"a simple current of {rs} at level {k} does not permute the alcove")
     least = {w: min(dims[v] for v in orbits[w]) for w in alcove}
     cells: dict[tuple[Weight, Weight], dict[Weight, int]] = defaultdict(dict)
     seen: set[Triple] = set()

@@ -263,6 +263,7 @@ def shared(memo: dict, key, build: Callable[[], T]) -> T:
 
 _ROOT_SYSTEM_MEMO: dict[CartanType, RootSystem] = {}
 _WEYL_MEMO: dict[RootSystem, list[tuple[tuple[tuple[int, ...], ...], int]]] = {}
+_CURRENT_MEMO: dict[tuple[RootSystem, int, Weight], tuple[Weight, ...]] = {}
 
 
 def build_root_system(t: CartanType | str) -> RootSystem:
@@ -442,18 +443,27 @@ def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
     return tuple(lam[sigma[j]] for j in range(rs.rank))
 
 
-def simple_current(rs: RootSystem, k: int, j: int, lam: Weight) -> Weight:
-    """J_j lam = k omega_j + w0^(j) w0 lam, the level-k simple current of node j.
+def current_orbit(rs: RootSystem, k: int, lam: Weight) -> tuple[Weight, ...]:
+    """(lam, J_j lam for each node j of mark 1 in node order): lam's level-k simple currents.
 
-    w0^(j), the longest element of the Weyl group of the simple roots other than
-    alpha_j, takes the antidominant w0 lam = -lam* to its fold by the reflections
-    other than r_j. Only nodes with mark 1 carry a current; comark 1 is not enough
-    (the short nodes of B_n and C_n, and one node each of G2 and F4, have comark 1).
+    J_j lam = k omega_j + w0^(j) w0 lam. w0^(j), the longest element of the Weyl
+    group of the simple roots other than alpha_j, takes the antidominant
+    w0 lam = -lam* to its fold by the reflections other than r_j. Only nodes with
+    mark 1 carry a current; comark 1 is not enough (the short nodes of B_n and C_n,
+    and one node each of G2 and F4, have comark 1). The only code that picks them.
     """
-    if rs.marks[j] != 1:
-        raise PreconditionError(f"node {j} of {rs} has mark {rs.marks[j]} and no simple current")
-    x = _fold(rs.simple_roots, wneg(dual_weight(rs, lam)), skip=j)[0]
-    return tuple(c + k if i == j else c for i, c in enumerate(x))
+    lam = tuple(lam)
+    return shared(_CURRENT_MEMO, (rs, k, lam), lambda: _current_orbit(rs, k, lam))
+
+
+def _current_orbit(rs: RootSystem, k: int, lam: Weight) -> tuple[Weight, ...]:
+    x, orbit = wneg(dual_weight(rs, lam)), [lam]
+    for j, m in enumerate(rs.marks):
+        if m == 1:
+            y = list(_fold(rs.simple_roots, x, skip=j)[0])
+            y[j] += k
+            orbit.append(tuple(y))
+    return tuple(orbit)
 
 
 def fold_dominant(rs: RootSystem, x: Weight) -> tuple[Weight, int]:

@@ -1,7 +1,7 @@
 import itertools
 import re
 import sys
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +32,12 @@ import fusionkit.multiplicity
 from fusionkit.errors import InternalError
 from fusionkit.fusion import (
     FUSION_BACKENDS,
-    _current_group,
     _equivalent_triples,
     affine_fold,
     check_level,
     theta_pairing,
 )
-from fusionkit.rootdata import simple_current, wadd, weyl_orbit, wsub
+from fusionkit.rootdata import current_orbit, wadd, weyl_orbit, wsub
 
 
 def test_level_alcove(a1, a2):
@@ -259,6 +258,18 @@ def test_fz_examples(a1, a2):
     assert fz_dimension(a1, 1, (1,), (1,), (0,)) == 1
     assert fz_dimension(a2, 1, (1, 0), (1, 0), (1, 0)) == 1
     assert fz_dimension(a2, 1, (1, 0), (1, 0), (0, 1)) == 0
+
+
+@pytest.mark.parametrize("name, lam, mu", [("A2", (1, 0), (0, 1)), ("A3", (1, 0, 0), (0, 0, 1))])
+def test_fz_dimension_lists_each_slice_once(monkeypatch, name, lam, mu):
+    """The target slice, each target - alpha_j and target - p theta: rank + 2 listings."""
+    rs = build_root_system(name)
+    listed = []
+    original = fusionkit.fusion._slice_pairs
+    monkeypatch.setattr(fusionkit.fusion, "_slice_pairs",
+                        lambda ml, mr, gamma: listed.append(gamma) or original(ml, mr, gamma))
+    assert fz_dimension(rs, 1, lam, mu, (0,) * rs.rank) == 1  # reaches the e_theta power map
+    assert len(listed) == len(set(listed)) == rs.rank + 2
 
 
 def test_fz_cap_and_level_errors(a2):
@@ -509,8 +520,7 @@ def test_a_table_ranks_each_class_once_on_the_member_a_point_query_ranks(monkeyp
     monkeypatch.setattr(fusionkit.fusion, "walton_dimension", record)
     table = fusion_table(rs, k)
     from_table = list(ranked)
-    group = _current_group(rs, k, level_alcove(rs, k))
-    classes = [_equivalent_triples(rs, *triple, lambda w: tuple(j[w] for j in group))
+    classes = [_equivalent_triples(rs, *triple, partial(current_orbit, rs, k))
                for triple in from_table]
     covered = set().union(*classes)
     assert sum(map(len, classes)) == len(covered)  # no two calls in one class
@@ -527,7 +537,8 @@ def test_every_memo_keys_on_the_shared_root_system(monkeypatch):
     from fusionkit import repspace, rootdata, tensor, tensor_decompose
 
     for module, memo in ((tensor, "_ORBIT_MEMO"), (repspace, "_MODULE_MEMO"),
-                         (rootdata, "_WEYL_MEMO"), (fusionkit.multiplicity, "_DIAGRAM_MEMO")):
+                         (rootdata, "_WEYL_MEMO"), (fusionkit.multiplicity, "_DIAGRAM_MEMO"),
+                         (rootdata, "_CURRENT_MEMO")):
         monkeypatch.setattr(module, memo, {})
     a2, b2 = build_root_system("A2"), build_root_system("B2")
     for backend in ("walton", "kacwalton"):
@@ -538,6 +549,7 @@ def test_every_memo_keys_on_the_shared_root_system(monkeypatch):
     for memo in (tensor._ORBIT_MEMO, fusionkit.multiplicity._DIAGRAM_MEMO):
         assert {rs for rs, _ in memo} == {a2, b2}
     assert repspace._MODULE_MEMO and all(rs is a2 for rs, _ in repspace._MODULE_MEMO)
+    assert rootdata._CURRENT_MEMO and all(rs is a2 for rs, _, _ in rootdata._CURRENT_MEMO)
 
 
 def test_the_g2_level_six_table_builds_at_most_458_weight_spaces(monkeypatch):
@@ -629,13 +641,48 @@ def test_e6_level_one_is_the_z3_ring_without_the_weyl_group(monkeypatch):
 def test_simple_current_group_is_the_centre(name, order):
     rs = build_root_system(name)
     for k in (1, 2):
-        assert len(_current_group(rs, k, level_alcove(rs, k))) == order
+        assert len(set(current_orbit(rs, k, (0,) * rs.rank))) == order
 
 
 def test_a_node_of_comark_one_and_mark_two_has_no_current(b2):
+    """B2's short node and one node each of G2 and F4 have comark 1 but mark 2 or more."""
     assert b2.comarks[1] == 1 and b2.marks[1] == 2
-    with pytest.raises(PreconditionError, match="mark 2"):
-        simple_current(b2, 1, 1, (0, 0))
+    assert current_orbit(b2, 1, (0, 0)) == ((0, 0), (1, 0))
+    for name in ("G2", "F4"):
+        rs = build_root_system(name)
+        assert 1 in rs.comarks and 1 not in rs.marks
+        assert current_orbit(rs, 1, (0,) * rs.rank) == ((0,) * rs.rank,)
+
+
+def test_a_current_that_does_not_permute_the_alcove_stops_a_table(monkeypatch, a2):
+    def wrong(rs, k, w):
+        lam, _, *rest = current_orbit(rs, k, w)
+        return (lam, (0, 0), *rest)
+
+    monkeypatch.setattr(fusionkit.fusion, "current_orbit", wrong)
+    with pytest.raises(InternalError, match="A2 at level 2"):
+        fusion_table(a2, 2)
+
+
+def test_point_queries_share_current_orbits(monkeypatch, a2):
+    """The second query of one class, at the same type and level, computes no orbit."""
+    from fusionkit import rootdata
+
+    monkeypatch.setattr(rootdata, "_CURRENT_MEMO", {})
+    built = []
+    original = rootdata._current_orbit
+    monkeypatch.setattr(rootdata, "_current_orbit",
+                        lambda rs, k, w: built.append((k, w)) or original(rs, k, w))
+    assert fusion_coefficient(a2, 3, (1, 1), (1, 0), (0, 2)) == 1
+    first = list(built)
+    assert first and len(set(first)) == len(first)
+    assert fusion_coefficient(a2, 3, (1, 0), (1, 1), (0, 2)) == 1
+    assert built == first
+
+
+def _currents(rs, k, alcove):
+    """The simple currents as permutations of the alcove, identity first."""
+    return [dict(zip(alcove, images)) for images in zip(*(current_orbit(rs, k, w) for w in alcove))]
 
 
 def _invariance_failures(table, j_a, j_b):
@@ -652,7 +699,7 @@ def _invariance_failures(table, j_a, j_b):
 def test_kac_walton_tables_are_simple_current_invariant(name, k):
     rs = build_root_system(name)
     oracle = fusion_table(rs, k, backend="kacwalton")  # uses no symmetry
-    group = _current_group(rs, k, list(oracle.alcove))
+    group = _currents(rs, k, oracle.alcove)
     for j_a, j_b in itertools.product(group, repeat=2):
         assert not _invariance_failures(oracle, j_a, j_b)
 
@@ -660,7 +707,7 @@ def test_kac_walton_tables_are_simple_current_invariant(name, k):
 def test_a2_reflection_is_not_a_simple_current(a2):
     """The diagram reflection fixing node 1 (J_1 then conjugation) breaks invariance."""
     oracle = fusion_table(a2, 2, backend="kacwalton")
-    identity, j_1, _ = _current_group(a2, 2, list(oracle.alcove))
+    identity, j_1, _ = _currents(a2, 2, oracle.alcove)
     reflection = {w: dual_weight(a2, j_1[w]) for w in oracle.alcove}
     assert sorted(reflection.values()) == list(oracle.alcove) and reflection != identity
     assert _invariance_failures(oracle, reflection, identity)
