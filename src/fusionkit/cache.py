@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
-import tempfile
+import threading
 from pathlib import Path
 
 from .fusion import FusionTable, level_alcove
@@ -30,6 +31,7 @@ SCHEMA_VERSION = 3
 
 ENV_VAR = "FUSIONKIT_CACHE"
 LOCAL_DIR = ".fusionkit-cache"
+_TEMP_NAMES = itertools.count()
 
 
 def resolve_cache_dir(flag_value: str | None) -> Path:
@@ -43,6 +45,14 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
 
 def table_key(cartan_type: str, level: int) -> str:
     return f"fusion_table|{cartan_type}|{level}"
+
+
+def _create_temp(root: Path) -> tuple[int, Path]:
+    """A new file of mode 0o600 in root, named by process, thread and a counter."""
+    while True:
+        path = root / f".{os.getpid()}-{threading.get_ident()}-{next(_TEMP_NAMES)}.tmp"
+        with contextlib.suppress(FileExistsError):  # left by a process that had this pid
+            return os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600), path
 
 
 def _header(key: str, body: bytes) -> dict:
@@ -90,7 +100,7 @@ class DiskCache:
         tmp = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            fd, tmp = _create_temp(self.root)
             with os.fdopen(fd, "wb") as handle:
                 handle.write(json.dumps(_header(key, body)).encode("utf-8") + b"\n" + body + b"\n")
             os.replace(tmp, self._path(key))

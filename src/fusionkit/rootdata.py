@@ -111,7 +111,7 @@ def dominant_weights_within(rank: int, fits: Callable[[Weight], bool]) -> list[W
 
 
 def apply_matrix(m: tuple[tuple[int, ...], ...], w: Weight) -> Weight:
-    return tuple(sum(row[c] * w[c] for c in range(len(w))) for row in m)
+    return tuple([sum(map(mul, row, w)) for row in m])
 
 
 def _reflect_rows(simple, i: int, m):
@@ -404,31 +404,35 @@ def reflect(rs: RootSystem, i: int, lam: Weight) -> Weight:
 
 
 def weyl_elements(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
-    """The full Weyl group as (action matrix, sign) pairs, identity first.
+    """The full Weyl group as (action matrix, sign) pairs, identity first, then breadth first.
 
-    The only code that lists W, so the one place the Weyl-order cap applies.
+    The only code that lists W, so the one place the Weyl-order cap applies. The
+    Racah-Speiser sum reads its signs from the orbit of mu+rho built from this list,
+    whether it runs over that orbit or over the weights of V^lam.
     """
     return shared(_WEYL_MEMO, rs, lambda: _list_weyl_group(rs))
 
 
 def _list_weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    # rho is regular, so "seen" keys on r_i w(rho) and only a new r_i w gets a matrix; r_i w
+    # is shorter than w, so listed a level ago, when coordinate i of w(rho) is negative
     if rs.weyl_order > WEYL_ORDER_CAP:
         raise CapExceededError(f"{rs} has Weyl group order {rs.weyl_order} > cap {WEYL_ORDER_CAP}")
     rank, simple = rs.rank, rs.simple_roots
     ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
     elements = [(ident, 1)]
-    seen = {ident}
-    queue = [(ident, 1)]
+    seen = {rs.rho}
+    queue = [(ident, rs.rho, 1)]
     while queue:
         nxt = []
-        for mat, sign in queue:
-            for i in range(rank):
-                cand = _reflect_rows(simple, i, mat)
-                if cand not in seen:
-                    seen.add(cand)
-                    item = (cand, -sign)
-                    elements.append(item)
-                    nxt.append(item)
+        for mat, image, sign in queue:
+            for i, c in enumerate(image):
+                point = c > 0 and tuple([x - c * a for x, a in zip(image, simple[i])])
+                if point and point not in seen:
+                    seen.add(point)
+                    cand = _reflect_rows(simple, i, mat)
+                    elements.append((cand, -sign))
+                    nxt.append((cand, point, -sign))
         queue = nxt
     if len(elements) != rs.weyl_order:
         raise InternalError(

@@ -1,11 +1,11 @@
 """Tensor product multiplicities, weight strings, and stability thresholds.
 
 The production path for tensor multiplicities (the PRV criterion and the
-Kac-Walton backend read it) is the Racah-Speiser signed sum over the Weyl
-group, evaluated directly against the full weight diagram. Weight
-multiplicities are W-invariant and eps(w^-1) = eps(w), so the sum runs over
-the orbit of mu+rho, memoised in W's order per (root system, mu+rho), and
-reads its signs from ``weyl_elements``, still the only code that lists W. A greedy
+Kac-Walton backend read it) is the Racah-Speiser signed sum over W. Weight
+multiplicities are W-invariant and eps(w^-1) = eps(w), so it reads the signed
+orbit {w(mu+rho): eps(w)}, memoised per (root system, mu+rho) from
+``weyl_elements`` (the only code that lists W), and runs over that orbit or
+over the weights of V^lam, whichever is smaller. A greedy
 character-subtraction decomposition is kept alongside as an independent
 oracle for tests: multiply two diagrams as multisets, then repeatedly peel
 the highest remaining weight. Both read the production (Freudenthal) weight
@@ -48,26 +48,32 @@ class WeightString(NamedTuple):
     up: int
 
 
-_ORBIT_MEMO: dict[tuple[RootSystem, Weight], tuple[Weight, ...]] = {}
+_ORBIT_MEMO: dict[tuple[RootSystem, Weight], dict[Weight, int]] = {}
 
 
-def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> tuple[Weight, ...]:
-    """w(mu_rho) for each w of ``group`` (the listed W of rs), in its order."""
-    return shared(_ORBIT_MEMO, (rs, mu_rho),
-                  lambda: tuple(apply_matrix(mat, mu_rho) for mat, _ in group))
+def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> dict[Weight, int]:
+    """{w(mu_rho): eps(w)} over ``group`` (the listed W of rs); mu_rho is regular."""
+    def signed_orbit():
+        orbit = {apply_matrix(mat, mu_rho): sign for mat, sign in group}
+        if len(orbit) != len(group):
+            raise InternalError(f"{len(group)} elements of W map {mu_rho} to {len(orbit)} points")
+        return orbit
+    return shared(_ORBIT_MEMO, (rs, mu_rho), signed_orbit)
 
 
 def tensor_multiplicity(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight) -> int:
     """Copies of V^nu in V^lam (x) V^mu: sum_w eps(w) m_lam(nu+rho - w(mu+rho))."""
     lam, mu, nu = map(require_dominant, (lam, mu, nu))
-    group = weyl_elements(rs)
-    get = weight_diagram(rs, lam).table.get
-    nu_rho = wadd(nu, rs.rho)
+    table = weight_diagram(rs, lam).table
+    orbit = _orbit_points(rs, weyl_elements(rs), wadd(mu, rs.rho))
+    # x -> nu+rho - x swaps the two index sets, so one loop runs over the smaller
+    terms, other = (orbit, table) if len(orbit) <= len(table) else (table, orbit)
+    get, nu_rho = other.get, wadd(nu, rs.rho)
     total = 0
-    for (_, sign), point in zip(group, _orbit_points(rs, group, wadd(mu, rs.rho))):
-        m = get(tuple(map(sub, nu_rho, point)))
+    for x, c in terms.items():
+        m = get(tuple(map(sub, nu_rho, x)))
         if m:
-            total += sign * m
+            total += c * m
     if total < 0:
         raise InternalError(f"Racah-Speiser sum {total} < 0 for V^{nu} in V^{lam} (x) V^{mu}")
     return total

@@ -39,7 +39,7 @@ from fusionkit.rootdata import (
 )
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
-DENSE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
+DENSE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
 
 
 def _mul(a, b):
@@ -319,7 +319,8 @@ def _dense_reflections(rs):
 
 
 def _dense_weyl_elements(rs):
-    """W by the breadth-first walk of ``weyl_elements``, each step a dense product r_i @ w."""
+    """W by the breadth-first walk of ``weyl_elements``, each step a dense product r_i @ w,
+    told from the elements listed by the matrix itself, not by its image of rho."""
     refls = _dense_reflections(rs)
     ident = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
     elements, seen, queue = [(ident, 1)], {ident}, [(ident, 1)]
@@ -340,6 +341,14 @@ def _dense_weyl_elements(rs):
 def test_weyl_elements_listed_as_by_dense_products(name):
     rs = build_root_system(name)
     assert weyl_elements(rs) == _dense_weyl_elements(rs)  # same elements, order and signs
+
+
+def test_the_d5_listing_is_pinned():
+    """sha256 of the repr of W(D5) as listed when "seen" keyed on the matrices."""
+    listing = repr(weyl_elements(build_root_system("D5"))).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "21a6fac95651253354682aca38f671f47ef50c795b04763beb5b41ce547f0e02"
+    )
 
 
 @pytest.mark.parametrize("name", TYPES)

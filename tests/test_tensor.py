@@ -97,6 +97,44 @@ def test_orbit_sum_equals_the_textbook_racah_speiser_sum(name):
     assert 0 in values and max(values) > 1
 
 
+@pytest.mark.parametrize("name,lam,mu,weights_fewer,top", [
+    ("D5", (0, 1, 0, 0, 0), (0, 0, 0, 1, 1), True, 2),
+    ("D5", (1, 0, 0, 1, 0), (0, 0, 0, 1, 1), True, 2),
+    ("B4", (0, 1, 0, 0), (1, 0, 0, 1), True, 2),
+    ("F4", (0, 0, 0, 1), (0, 0, 1, 1), True, 2),
+    ("A1", (40,), (7,), False, 1),
+    ("A2", (4, 4), (2, 1), False, 2),
+    ("G2", (3, 2), (1, 1), False, 4),
+])
+def test_both_index_sets_equal_the_textbook_racah_speiser_sum(name, lam, mu, weights_fewer, top):
+    """The sum runs over the weights of V^lam when they are fewer than |W|, else over the orbit."""
+    rs = build_root_system(name)
+    table = weight_diagram(rs, lam).table
+    assert (len(table) < rs.weyl_order) is weights_fewer
+    nus = {nu for nu in (wadd(beta, mu) for beta in table) if is_dominant(nu)}
+    nus.add(wadd(lam, wadd(mu, mu)))  # above lam + mu, so no copy
+    values = []
+    for nu in sorted(nus):
+        got = tensor_multiplicity(rs, lam, mu, nu)
+        assert got == _textbook_racah_speiser(rs, lam, mu, nu), nu
+        values.append(got)
+    assert 0 in values and max(values) == top
+
+
+def test_orbit_points_refuses_a_group_that_repeats_an_element(monkeypatch):
+    from fusionkit import InternalError, tensor
+
+    b2 = build_root_system("B2")
+    group = weyl_elements(b2)
+    monkeypatch.setattr(tensor, "_ORBIT_MEMO", {})
+    with pytest.raises(InternalError):
+        tensor._orbit_points(b2, group + group[1:2], wadd((1, 0), b2.rho))
+    assert tensor._ORBIT_MEMO == {}
+    assert tensor._orbit_points(b2, group, wadd((1, 0), b2.rho)) == {
+        apply_matrix(mat, (2, 1)): sign for mat, sign in group
+    }
+
+
 def test_threads_decomposing_on_one_type_share_each_orbit(monkeypatch):
     import sys
     import threading
