@@ -6,9 +6,11 @@ lookups never scan the directory. A document is two lines: a header,
 plain JSON integers, ``{"level": k, "alcove": [...], "entries": [[lam, mu,
 nu, c], ...]}``, where the digest is the SHA-256 of the payload line's bytes
 as written. A document whose header differs from the request, whose payload
-line does not hash to the digest, or whose level or alcove does not match the
-request counts as a miss, so the caller recomputes and overwrites it; the
-payload is parsed only after its bytes are checked. Writes go through a temp
+line does not hash to the digest, whose level or alcove does not match the
+request, or whose entries are not cells of the table (a weight off the
+alcove, a coefficient that is not a positive int, a triple listed twice)
+counts as a miss, so the caller recomputes and overwrites it; the payload is
+parsed only after its bytes are checked. Writes go through a temp
 file plus rename, so concurrent readers always see a complete document; a
 directory that cannot be written leaves the table uncached and never fails
 the caller.
@@ -69,7 +71,7 @@ class DiskCache:
         return self.root / f"{digest}.json"
 
     def load_table(self, rs: RootSystem, level: int) -> FusionTable | None:
-        """The stored level table; None on a miss, a damaged document or a wrong alcove."""
+        """The stored level table; None on a miss, a damaged document or one that does not fit."""
         key = table_key(str(rs.cartan_type), level)
         try:
             head, body, end = self._path(key).read_bytes().split(b"\n")
@@ -79,9 +81,13 @@ class DiskCache:
             alcove = level_alcove(rs, level)
             if payload["level"] != level or payload["alcove"] != [list(w) for w in alcove]:
                 return None
-            coeffs = {
-                (tuple(lam), tuple(mu), tuple(nu)): c for lam, mu, nu, c in payload["entries"]
-            }
+            # a weight off the alcove is a KeyError; the cells share the alcove's tuples
+            on_alcove, coeffs = {w: w for w in alcove}, {}
+            for lam, mu, nu, c in payload["entries"]:
+                triple = on_alcove[tuple(lam)], on_alcove[tuple(mu)], on_alcove[tuple(nu)]
+                if type(c) is not int or c < 1 or triple in coeffs:  # a bool is not an int here
+                    return None
+                coeffs[triple] = c
         # a file that is missing, unreadable or not the document we wrote
         except (OSError, LookupError, TypeError, ValueError, RecursionError):
             return None

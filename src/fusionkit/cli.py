@@ -110,7 +110,7 @@ def _emit_weights(rs: RootSystem, counts: dict[Weight, int], args) -> None:
 
 def cmd_weights(args) -> int:
     rs = build_root_system(args.type)
-    lam = parse_weight(args.weight, rs.rank)
+    lam = parse_weight(args.weights[0], rs.rank)
     _check_dims(rs, [lam], args)
     _emit_weights(rs, weight_diagram(rs, lam).table, args)
     return 0
@@ -118,8 +118,7 @@ def cmd_weights(args) -> int:
 
 def cmd_tensor(args) -> int:
     rs = build_root_system(args.type)
-    lam = parse_weight(args.left, rs.rank)
-    mu = parse_weight(args.right, rs.rank)
+    lam, mu = (parse_weight(w, rs.rank) for w in args.weights)
     _check_dims(rs, [lam, mu], args)
     _emit_weights(rs, tensor_decompose(rs, lam, mu).terms, args)
     return 0
@@ -192,7 +191,7 @@ def _emit_fusion(rs, k, triples, columns, args) -> None:
 def cmd_fusion(args) -> int:
     rs = build_root_system(args.type)
     k = args.level
-    triple = tuple(parse_weight(t, rs.rank) for t in args.triple)
+    triple = tuple(parse_weight(w, rs.rank) for w in args.weights)
     alcove = None if triple else list(alcove_dims(rs, k, args.max_dim))
     _check_dims(rs, triple, args)
     backends = FUSION_BACKENDS if args.backend == "all" else (args.backend,)
@@ -281,24 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.set_defaults(func=cmd_rootdata)
 
-    p = sub.add_parser("weights", parents=[common], help="weight diagram of V^lam")
+    # a weight is comma-separated fundamental coordinates, e.g. 1,0 or -1,0; the weights
+    # arrive as leftover positionals, so one that starts with "-" is no option (see main())
+    p = sub.add_parser("weights", parents=[common], help="weight diagram of V^lam",
+                       usage="%(prog)s type weight [options]")
     p.add_argument("type")
-    p.add_argument("weight", help="comma-separated fundamental coordinates, e.g. 1,0")
     p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("tensor", parents=[common], help="tensor product decomposition")
+    p = sub.add_parser("tensor", parents=[common], help="tensor product decomposition",
+                       usage="%(prog)s type left right [options]")
     p.add_argument("type")
-    p.add_argument("left")
-    p.add_argument("right")
     p.set_defaults(func=cmd_tensor)
 
-    p = sub.add_parser("fusion", parents=[common], help="fusion coefficients at a level")
+    p = sub.add_parser("fusion", parents=[common], help="fusion coefficients at a level",
+                       usage="%(prog)s type --level K [lam mu nu] [options]")
     p.add_argument("type")
     p.add_argument("--level", type=_integer, required=True)
     p.add_argument(
         "--backend", choices=(*FUSION_BACKENDS, "all"), default="walton"
     )
-    # lam mu nu weights arrive as leftover positionals; see main()
     p.set_defaults(func=cmd_fusion)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -309,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     return parser
 
+
+# how many weights each command takes after its type; the other commands take none
+_WEIGHT_COUNTS = {"weights": (1,), "tensor": (2,), "fusion": (0, 3)}
 
 # first match wins: UnsupportedTypeError is a ParseError, InternalError a FusionkitError
 _EXIT_CODES = ((ParseError, 2), (PreconditionError, 3), (CapExceededError, 4), (FusionkitError, 1))
@@ -321,13 +324,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "fusion" and extra[:1] == ["--"]:
-            extra = extra[1:]
-        if extra and (args.command != "fusion" or any(a.startswith("--") for a in extra)):
+        if "--" in extra:
+            extra.remove("--")  # ends the options; what follows it are weights
+        counts = _WEIGHT_COUNTS.get(args.command, (0,))
+        if any(a.startswith("--") for a in extra) or (extra and counts == (0,)):
             raise ParseError(f"unrecognized arguments: {' '.join(extra)}")
-        if extra and len(extra) != 3:
-            raise ParseError("fusion takes either no weights or exactly lam mu nu")
-        args.triple = extra
+        if len(extra) not in counts:
+            raise ParseError(f"{args.command} takes {' or '.join(map(str, counts))} weight(s), "
+                             f"got {len(extra)}")
+        args.weights = extra
         code = args.func(args)
         sys.stdout.flush()
         return code

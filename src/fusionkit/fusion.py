@@ -1,17 +1,16 @@
 """Level-k fusion coefficients with three independent backends.
 
 The production backend cuts the PRV subspace of V^lam_beta further by a power
-of the raising operator for the highest root ("Walton space"); its dimension
-is the fusion coefficient. Two oracles cross-certify it: Kac-Walton affine
-folding of tensor multiplicities at shifted level k + h_vee, and a direct
-Frenkel-Zhu computation on the tensor product module (invariant forms that
-kill e_theta^{k-<nu,theta>+1} of everything).
+of the raising operator for the highest root ("Walton space"); its dimension,
+one ``_walton_space`` rank as for the PRV space, is the fusion coefficient. Two
+oracles cross-certify it: Kac-Walton affine folding of tensor multiplicities at
+shifted level k + h_vee, and a direct Frenkel-Zhu computation on the tensor
+product module (invariant forms that kill e_theta^{k-<nu,theta>+1} of everything).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable
 from functools import partial
 from itertools import permutations
 from operator import mul, sub
@@ -110,16 +109,15 @@ def _module_with_weight(rs: RootSystem, lam: Weight, beta: Weight, max_dim: int)
     return module
 
 
-def _constrained_dimension(module: RepModule, beta: Weight,
-                           constraints: list[tuple[str, int]]) -> int:
-    """dim{v in V^lam_beta : op^p v = 0 for every (op, p) in constraints}."""
+def _walton_space(module: RepModule, beta: Weight, mu: Weight, k: int | None = None) -> int:
+    """dim{v in V^lam_beta : e_j^{<mu,alpha_j>+1} v = 0 for all j} (PRV), and at a level k also
+    e_theta^{k-<beta+mu,theta>+1} v = 0 (Walton), in the module V^lam that holds the weight beta."""
+    blocks = [operator_power_block(module, f"e{j}", m + 1, beta) for j, m in enumerate(mu)]
+    if k is not None:
+        p = k - theta_pairing(module.root_system, wadd(beta, mu)) + 1
+        blocks.append(operator_power_block(module, "etheta", p, beta))
     dim = module.dim_at(beta)
-    blocks = [operator_power_block(module, op, p, beta) for op, p in constraints]
     return dim - RationalMatrix.vstack(blocks, dim).rank()
-
-
-def _prv_constraints(mu: Weight) -> list[tuple[str, int]]:
-    return [(f"e{j}", m + 1) for j, m in enumerate(mu)]
 
 
 def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
@@ -130,8 +128,7 @@ def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
     """
     lam, beta, mu = require_dominant(lam, "lam"), tuple(beta), require_dominant(mu, "mu")
     require_dominant(wadd(beta, mu), "beta+mu")
-    module = _module_with_weight(rs, lam, beta, max_dim)
-    return _constrained_dimension(module, beta, _prv_constraints(mu))
+    return _walton_space(_module_with_weight(rs, lam, beta, max_dim), beta, mu)
 
 
 def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weight,
@@ -142,10 +139,8 @@ def walton_dimension(rs: RootSystem, k: int, lam: Weight, beta: Weight, mu: Weig
     _require_alcove(rs, k, lam, "lam")
     _require_alcove(rs, k, mu, "mu")
     module = _module_with_weight(rs, lam, beta, max_dim)
-    top = wadd(beta, mu)
-    _require_alcove(rs, k, top, "beta+mu")
-    constraints = _prv_constraints(mu) + [("etheta", k - theta_pairing(rs, top) + 1)]
-    return _constrained_dimension(module, beta, constraints)
+    _require_alcove(rs, k, wadd(beta, mu), "beta+mu")
+    return _walton_space(module, beta, mu, k)
 
 
 def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
@@ -160,34 +155,36 @@ def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weig
     check_dim_cap(rs, lam, max_dim)
     if wsub(nu, mu) not in weight_diagram(rs, lam).table:
         return 0
-    triples = _equivalent_triples(rs, lam, mu, nu, partial(current_orbit, rs, k))
-    dims = {a: weyl_dimension(rs, a) for a in {a for a, _, _ in triples}}
-    return _class_value(rs, k, triples, dims, max_dim)
+    return _class_value(rs, k, _equivalent_triples(rs, k, lam, mu, nu), max_dim)
 
 
-def _equivalent_triples(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight,
-                        orbit: Callable[[Weight], tuple[Weight, ...]]) -> set[Triple]:
+def _equivalent_triples(rs: RootSystem, k: int, lam: Weight, mu: Weight,
+                        nu: Weight) -> set[Triple]:
     """Every (a, b, t) with N^(k)t_{a,b} = N^(k)nu_{lam,mu} by S3 and the simple currents.
 
     N^nu_{lam,mu} = N_{lam,mu,nu*} is symmetric in its three weights, and
     N^{J_x J_y t}_{J_x a, J_y b} = N^t_{a,b} for currents J_x, J_y (or the identity);
-    ``orbit(w)[x]`` is J_x w, the identity first.
+    ``current_orbit(rs, k, w)[x]`` is J_x w, the identity first.
     """
-    pairs = ((lam, dual_weight(rs, lam)), (mu, dual_weight(rs, mu)), (dual_weight(rs, nu), nu))
-    return {(ja, jb, jt)  # (a, b, t*) runs over the orderings of (lam, mu, nu*)
-            for (a, _), (b, _), (_, t) in permutations(pairs)
-            for jb, jy_t in zip(orbit(b), orbit(t))
-            for ja, jt in zip(orbit(a), orbit(jy_t))}
+    weights = (lam, mu, dual_weight(rs, nu))  # (a, b, t*) runs over their orderings
+    orbit = {w: current_orbit(rs, k, w) for w in weights}
+    # for each c of weights and t = c*: the orbit of J_y t, for each current J_y
+    moved = {c: [current_orbit(rs, k, jt) for jt in current_orbit(rs, k, dual_weight(rs, c))]
+             for c in weights}
+    return {(ja, jb, jt)
+            for a, b, c in permutations(weights)
+            for jb, jy_t in zip(orbit[b], moved[c])
+            for ja, jt in zip(orbit[a], jy_t)}
 
 
-def _class_value(rs: RootSystem, k: int, triples: set[Triple], dims: dict[Weight, int],
-                 max_dim: int) -> int:
+def _class_value(rs: RootSystem, k: int, triples: set[Triple], max_dim: int) -> int:
     """The common N^(k)t_{a,b} of one ``_equivalent_triples`` class, from one member.
 
     The member of least (dim V^a, depth of t - b below a, a, b) is ranked at
-    beta = t - b; only the members of least dim V^a get a depth.
+    beta = t - b; only the members of least dim V^a get a depth, and a zero class builds no module.
     """
-    least = min(dims[a] for a, _, _ in triples)
+    dims = {a: weyl_dimension(rs, a) for a in {a for a, _, _ in triples}}
+    least = min(dims.values())
     keyed = []
     for a, b, t in triples:
         if dims[a] == least:
@@ -199,7 +196,7 @@ def _class_value(rs: RootSystem, k: int, triples: set[Triple], dims: dict[Weight
     beta = wsub(t, b)
     if beta not in weight_diagram(rs, a).table:
         return 0
-    return walton_dimension(rs, k, a, beta, b, max_dim)
+    return _walton_space(cached_module(rs, a, max_dim), beta, b, k)
 
 
 def affine_fold(rs: RootSystem, x: Weight, shifted_level: int) -> tuple[Weight | None, int]:
@@ -367,9 +364,9 @@ def _walton_cells(rs: RootSystem, k: int, alcove: list[Weight], dims: dict[Weigh
             for t in (wadd(beta, b) for beta in weight_diagram(rs, a).table):
                 if least.get(t, 0) < dims[a] or (a, b, t) in seen:  # 0: t is off the alcove
                     continue
-                triples = _equivalent_triples(rs, a, b, t, orbits.__getitem__)
+                triples = _equivalent_triples(rs, k, a, b, t)
                 seen |= triples
-                if c := _class_value(rs, k, triples, dims, max_dim):
+                if c := _class_value(rs, k, triples, max_dim):
                     for x, y, z in triples:
                         cells[x, y][z] = c
     return cells

@@ -13,7 +13,8 @@ pivot columns and the nonzero rows of the reduced row echelon form.
 Gauss-Jordan elimination (Bareiss 1968), after which every pivot equals one
 integer d and the reduced row echelon form is the integer matrix over d.
 The positive-definiteness test is Sylvester's criterion by Bareiss
-elimination without row swaps. Nothing is ever approximate. ``data`` and
+elimination without row swaps. Nothing is ever approximate: a float or a str,
+as an entry or a ``scale`` factor, raises TypeError. ``data`` and
 ``m[i, j]`` hand out ``fractions.Fraction`` entries, built on first use.
 
 Matrices with zero rows or zero columns are legal and behave as the empty
@@ -34,13 +35,20 @@ from .errors import InternalError
 Q = Fraction
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float or a str is refused, since no entry here is ever approximate."""
+    if isinstance(x, (float, str)):
+        raise TypeError(f"{x!r} is not an exact rational")
+    return Q(x)
+
+
 class RationalMatrix:
     """Immutable-by-convention dense rational matrix: ``num / den``."""
 
     __slots__ = ("rows", "cols", "num", "den", "_data")
 
     def __init__(self, data: Sequence[Sequence], cols: int | None = None):
-        entries = [[x if type(x) is int else Q(x) for x in row] for row in data]
+        entries = [[x if type(x) is int else _exact(x) for x in row] for row in data]
         rows = len(entries)
         if rows:
             widths = {len(row) for row in entries}
@@ -197,7 +205,7 @@ class RationalMatrix:
         return self.scale(-1)
 
     def scale(self, s) -> "RationalMatrix":
-        s = Q(s)
+        s = _exact(s)
         a = s.numerator
         num = tuple(tuple(a * x for x in row) for row in self.num)
         return RationalMatrix._from_ints(num, self.den * s.denominator if a else 1, self.rows, self.cols)

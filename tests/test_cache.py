@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import FusionTable, fusion_table
-from fusionkit.cache import DiskCache, resolve_cache_dir, table_key
+from fusionkit.cache import DiskCache, _header, resolve_cache_dir, table_key
 from fusionkit.cli import main
 
 
@@ -158,6 +158,32 @@ def test_signed_document_with_another_level_or_alcove_is_a_miss(tmp_path, a2, da
     damage(payload)
     _write(path, header, payload, sign=True)
     assert cache.load_table(a2, 2) is None
+
+
+@pytest.mark.parametrize("entries", [
+    [[[0], [0], [0], True], [[0], [1], [1], 1], [[1], [0], [1], 1], [[1], [1], [0], 1]],
+    [[[0], [0], [0], 1], [[0], [1], [1], "7"], [[1], [0], [1], 1], [[1], [1], [0], 1]],
+    [[[0], [0], [0], 1], [[0], [1], [1], 1.0], [[1], [0], [1], 1], [[1], [1], [0], 1]],
+    [[[0], [0], [0], 1], [[0], [1], [1], 0], [[1], [0], [1], 1], [[1], [1], [0], 1]],
+    [[[0], [0], [0], 1], [[0], [1], [1], 1], [[1], [0], [1], 1], [[1], [1], [0], -3]],
+    [[[0], [0], [0], 1], [[0], [1], [1], 1], [[1], [0], [1], 1], [[5], [5], [5], 1]],
+    [[[0], [0], [0], 1], [[0], [1], [1], 1], [[0], [1], [1], 1], [[1], [1], [0], 1]],
+    [[[0], [0], [0], True], [[0], [1], [1], "7"], [[5], [5], [5], -3]],
+], ids=["bool", "str", "float", "zero", "negative", "off-alcove", "repeated", "all-three"])
+def test_signed_document_with_entries_that_are_not_cells_is_a_miss(capsys, tmp_path, a1, entries):
+    """A header and digest that match prove only that the bytes are ours; every entry must
+    still be a cell of the table: weights on the alcove, a positive int, each triple once."""
+    argv = ["fusion", "A1", "--level", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    path = _cached_file(tmp_path)
+    original = path.read_text()
+    body = json.dumps({"level": 1, "alcove": [[0], [1]], "entries": entries}).encode()
+    path.write_bytes(json.dumps(_header(table_key("A1", 1), body)).encode() + b"\n" + body + b"\n")
+    assert DiskCache(tmp_path).load_table(a1, 1) is None
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert path.read_text() == original
 
 
 def test_schema_1_document_is_a_miss_and_overwritten(capsys, tmp_path, a2):

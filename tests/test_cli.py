@@ -96,6 +96,31 @@ def test_tensor_precondition(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, weight", [
+    (("weights", "A2", "-1,0"), "(-1, 0)"),
+    (("weights", "A2", "1,-1"), "(1, -1)"),
+    (("weights", "A1", "-1"), "(-1,)"),
+    (("tensor", "A2", "1,0", "-1,0"), "(-1, 0)"),
+    (("tensor", "A2", "-1,0", "1,0"), "(-1, 0)"),
+    (("tensor", "A2", "-1,0", "--format", "tsv", "1,0"), "(-1, 0)"),
+    (("fusion", "A2", "--level", "1", "-1,0", "0,0", "0,0"), "(-1, 0)"),
+])
+def test_a_weight_starting_with_a_minus_is_read_as_a_weight(capsys, argv, weight):
+    """Every command refuses a non-dominant weight the same way, whatever its first sign."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {weight} is not dominant\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("weights", "A2"), ("weights", "A2", "1,0", "0,1"), ("tensor", "A2", "1,0"),
+    ("tensor", "A2", "1,0", "0,1", "1,1"), ("fusion", "A2", "--level", "1", "1,0"),
+    ("rootdata", "A2", "1,0"), ("weights", "A2", "1,0", "--bogus"),
+])
+def test_a_wrong_number_of_weights_or_an_unknown_option_is_a_parse_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "")
+
+
 def test_fusion_full_table(capsys, tmp_path):
     code, out = run(capsys, "fusion", "A1", "--level", "1", "--cache-dir", str(tmp_path))
     assert code == 0

@@ -1,7 +1,7 @@
 import itertools
 import re
 import sys
-from functools import cache, partial
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -510,18 +510,17 @@ def test_a_point_query_builds_only_the_chosen_module(monkeypatch, name, k, tripl
 @pytest.mark.parametrize("name, k", [("G2", 4), ("A3", 3)])
 def test_a_table_ranks_each_class_once_on_the_member_a_point_query_ranks(monkeypatch, name, k):
     rs = build_root_system(name)
-    ranked = []  # (a, b, t) of every walton_dimension call, at beta = t - b
-    original = fusionkit.fusion.walton_dimension
+    ranked = []  # (a, b, t) of every Walton-space rank, at beta = t - b
+    original = fusionkit.fusion._walton_space
 
-    def record(rs, k, lam, beta, mu, *rest):
-        ranked.append((lam, mu, wadd(beta, mu)))
-        return original(rs, k, lam, beta, mu, *rest)
+    def record(module, beta, mu, *rest):
+        ranked.append((module.highest, mu, wadd(beta, mu)))
+        return original(module, beta, mu, *rest)
 
-    monkeypatch.setattr(fusionkit.fusion, "walton_dimension", record)
+    monkeypatch.setattr(fusionkit.fusion, "_walton_space", record)
     table = fusion_table(rs, k)
     from_table = list(ranked)
-    classes = [_equivalent_triples(rs, *triple, partial(current_orbit, rs, k))
-               for triple in from_table]
+    classes = [_equivalent_triples(rs, k, *triple) for triple in from_table]
     covered = set().union(*classes)
     assert sum(map(len, classes)) == len(covered)  # no two calls in one class
     assert set(table.coeffs) <= covered
@@ -529,6 +528,20 @@ def test_a_table_ranks_each_class_once_on_the_member_a_point_query_ranks(monkeyp
         ranked.clear()
         assert fusion_coefficient(rs, k, *triple) == table.coefficient(*triple)
         assert ranked == [triple]
+
+
+def test_tables_and_point_queries_never_go_through_walton_dimension(monkeypatch):
+    """The chooser ranks its member directly; the public checks of ``walton_dimension``
+    (level, alcove, cap, weight) are already settled for every class it ranks."""
+    calls = []
+    original = fusionkit.fusion.walton_dimension
+    monkeypatch.setattr(fusionkit.fusion, "walton_dimension",
+                        lambda *args: calls.append(args) or original(*args))
+    a3 = build_root_system("A3")
+    table = fusion_table(a3, 3)
+    assert fusion_coefficient(a3, 3, (1, 1, 1), (1, 1, 0), (0, 1, 1)) == 2
+    assert table.coefficient((1, 1, 1), (1, 1, 0), (0, 1, 1)) == 2
+    assert calls == []
 
 
 def test_every_memo_keys_on_the_shared_root_system(monkeypatch):

@@ -214,7 +214,7 @@ def test_equal_values_by_different_routes_are_equal_and_hash_equal(drawn, c):
     a, cols = drawn
     m = RationalMatrix(a, cols)
     routes = [
-        RationalMatrix([[str(x) for x in row] for row in a], cols),
+        RationalMatrix([[Fraction(str(x)) for x in row] for row in a], cols),
         RationalMatrix([[int(x) if x.denominator == 1 else x for x in row] for row in a], cols),
         m.scale(c).scale(Fraction(1, c)),
         m.transpose().transpose(),
@@ -348,3 +348,15 @@ def test_inexact_bareiss_division_raises():
     # a division that Sylvester's identity rules out is reported, not truncated
     with pytest.raises(InternalError):
         _bareiss_step([1], [0], 1, 0, 2)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, float("nan"), "1/2", "3"])
+def test_floats_and_strings_are_refused_as_entries_and_scale_factors(bad):
+    """Fraction(0.1) would store 3602879701896397/36028797018963968 without a word."""
+    with pytest.raises(TypeError, match="not an exact rational"):
+        RationalMatrix([[bad, 1]])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        RationalMatrix([[1, 0], [0, bad]])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        RationalMatrix.identity(2).scale(bad)
+
