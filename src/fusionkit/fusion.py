@@ -34,7 +34,9 @@ from .rootdata import (
     dual_weight,
     fold_dominant,
     is_dominant,
+    is_weight_of,
     require_dominant,
+    require_rank,
     root_lattice_depth,
     wadd,
     wneg,
@@ -66,7 +68,7 @@ def in_alcove(rs: RootSystem, k: int, w: Weight) -> bool:
 
 
 def _require_alcove(rs: RootSystem, k: int, w: Weight, name: str) -> None:
-    require_dominant(w, name)
+    require_dominant(require_rank(rs, w, name), name)
     if theta_pairing(rs, w) > k:
         raise PreconditionError(
             f"level violation: <{name}, theta> = {theta_pairing(rs, w)} > k = {k}"
@@ -126,7 +128,8 @@ def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,
 
     Equals the tensor multiplicity of V^{beta+mu} in V^lam (x) V^mu.
     """
-    lam, beta, mu = require_dominant(lam, "lam"), tuple(beta), require_dominant(mu, "mu")
+    lam, beta = require_dominant(lam, "lam"), tuple(beta)
+    mu = require_dominant(require_rank(rs, mu, "mu"), "mu")
     require_dominant(wadd(beta, mu), "beta+mu")
     return _walton_space(_module_with_weight(rs, lam, beta, max_dim), beta, mu)
 
@@ -149,11 +152,13 @@ def fusion_coefficient(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weig
 
     Among the triples (a, b, t) with N^(k)t_{a,b} = N^(k)nu_{lam,mu}, the one of least
     (dim V^a, depth of t - b below a, a, b) is ranked at beta = t - b; its module is
-    never larger than V^lam. ``walton_dimension`` is the symmetry-free form.
+    never larger than V^lam. A zero cell (nu - mu not a weight of V^lam, by ``is_weight_of``)
+    or a zero class builds neither a module nor a diagram. ``walton_dimension`` is the
+    symmetry-free form.
     """
     lam, mu, nu = _check_triple(rs, k, lam, mu, nu)
     check_dim_cap(rs, lam, max_dim)
-    if wsub(nu, mu) not in weight_diagram(rs, lam).table:
+    if not is_weight_of(rs, lam, wsub(nu, mu)):
         return 0
     return _class_value(rs, k, _equivalent_triples(rs, k, lam, mu, nu), max_dim)
 
@@ -181,7 +186,8 @@ def _class_value(rs: RootSystem, k: int, triples: set[Triple], max_dim: int) -> 
     """The common N^(k)t_{a,b} of one ``_equivalent_triples`` class, from one member.
 
     The member of least (dim V^a, depth of t - b below a, a, b) is ranked at
-    beta = t - b; only the members of least dim V^a get a depth, and a zero class builds no module.
+    beta = t - b; only the members of least dim V^a get a depth. Its beta is tested by
+    ``is_weight_of``, so a zero class builds neither a module nor a diagram.
     """
     dims = {a: weyl_dimension(rs, a) for a in {a for a, _, _ in triples}}
     least = min(dims.values())
@@ -194,7 +200,7 @@ def _class_value(rs: RootSystem, k: int, triples: set[Triple], max_dim: int) -> 
             keyed.append((depth, a, b, t))
     _, a, b, t = min(keyed)
     beta = wsub(t, b)
-    if beta not in weight_diagram(rs, a).table:
+    if not is_weight_of(rs, a, beta):
         return 0
     return _walton_space(cached_module(rs, a, max_dim), beta, b, k)
 

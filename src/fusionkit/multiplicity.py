@@ -28,6 +28,7 @@ from .rootdata import (
     fold_dominant,
     is_dominant,
     require_dominant,
+    require_rank,
     root_lattice_coords,
     shared,
     wadd,
@@ -59,11 +60,12 @@ _DIMENSION_MEMO: dict[tuple[RootSystem, Weight], int] = {}
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """dim V^lam by the Weyl dimension formula, shared per (root system, lam)."""
-    return shared(_DIMENSION_MEMO, (rs, tuple(lam)), lambda: _weyl_formula(rs, lam))
+    key = (rs, tuple(lam))
+    return _DIMENSION_MEMO.get(key) or shared(_DIMENSION_MEMO, key, lambda: _weyl_formula(rs, lam))
 
 
 def _weyl_formula(rs: RootSystem, lam: Weight) -> int:  # exactly, in integers
-    lam_rho, denom = wadd(require_dominant(lam), rs.rho), rs.weyl_denominator
+    lam_rho, denom = wadd(require_dominant(require_rank(rs, lam)), rs.rho), rs.weyl_denominator
     num = prod(sum(map(mul, f, lam_rho)) for f in rs.root_functionals)
     dim, rem = divmod(num, denom)
     if rem:
@@ -129,8 +131,8 @@ _DIAGRAM_MEMO: dict[tuple[RootSystem, Weight], WeightDiagram] = {}
 
 def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     """Full weight diagram of V^lam, shared: the production form of freudenthal_diagram."""
-    lam = tuple(lam)
-    return shared(_DIAGRAM_MEMO, (rs, lam), lambda: freudenthal_diagram(rs, lam))
+    key = (rs, tuple(lam))
+    return _DIAGRAM_MEMO.get(key) or shared(_DIAGRAM_MEMO, key, lambda: freudenthal_diagram(*key))
 
 
 def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
@@ -141,7 +143,7 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     one table per positive root. A lower dominant weight on the same string
     walks up only to that entry, so each string is summed once.
     """
-    lam = tuple(lam)
+    lam = require_rank(rs, lam)
     depths = dominant_weights(rs, lam)
     # everything scaled by D = form_den, which cancels in the quotient: D (., alpha) and D |x|^2
     sym, rho = rs.form_num, rs.rho
@@ -194,7 +196,7 @@ def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     shifted weight outside the support contributes 0: a weight whose dominant
     representative has a multiplicity is itself in the support.
     """
-    lam = tuple(lam)
+    lam = require_rank(rs, lam)
     depths, reps = _support(rs, lam)
     # every weight of V^lam folds to a dominant weight of V^lam, which is its own representative
     dominants = sorted(set(reps.values()), key=lambda nu: (depths[nu], nu))

@@ -92,6 +92,14 @@ def require_dominant(w: Weight, name: str = "") -> Weight:
     return w
 
 
+def require_rank(rs: RootSystem, w: Weight, name: str = "") -> Weight:
+    """w as a tuple, or PreconditionError naming it when its length is not the rank of rs."""
+    w = tuple(w)
+    if len(w) != rs.rank:
+        raise PreconditionError(f"{name or 'weight'} = {w} needs {rs.rank} coordinates for {rs}")
+    return w
+
+
 def dominant_weights_within(rank: int, fits: Callable[[Weight], bool]) -> list[Weight]:
     """Every dominant weight w with fits(w), sorted, for a ``fits`` that holds below every
     weight it holds at: a coordinate grows while the weight padded with zeros still fits."""
@@ -252,7 +260,8 @@ _MEMO_LOCK = threading.Lock()
 
 def shared(memo: dict, key, build: Callable[[], T]) -> T:
     """memo[key], or ``build()`` run outside the one lock and published under it; threads
-    that race on one key all get the first object published. Every fusionkit memo uses it."""
+    that race on one key all get the first object published. Every fusionkit memo uses it; the
+    hottest callers return ``memo.get(key)`` first, so a hit builds no closure."""
     got = memo.get(key)
     if got is None:
         got = build()
@@ -396,6 +405,7 @@ def reflect(rs: RootSystem, i: int, lam: Weight) -> Weight:
     """Simple reflection r_i(lam) = lam - <lam, alpha_i^vee> alpha_i."""
     if not 0 <= i < rs.rank:
         raise PreconditionError(f"simple root index {i} out of range for {rs}")
+    lam = require_rank(rs, lam)
     c = lam[i]
     if not c:
         return lam
@@ -443,7 +453,7 @@ def _list_weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], 
 
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
     """lam* = -w0(lam); permutes fundamental coordinates by the diagram involution."""
-    sigma = rs.dual_permutation
+    lam, sigma = require_rank(rs, lam), rs.dual_permutation
     return tuple(lam[sigma[j]] for j in range(rs.rank))
 
 
@@ -456,8 +466,8 @@ def current_orbit(rs: RootSystem, k: int, lam: Weight) -> tuple[Weight, ...]:
     mark 1 carry a current; comark 1 is not enough (the short nodes of B_n and C_n,
     and one node each of G2 and F4, have comark 1). The only code that picks them.
     """
-    lam = tuple(lam)
-    return shared(_CURRENT_MEMO, (rs, k, lam), lambda: _current_orbit(rs, k, lam))
+    key = (rs, k, tuple(lam))
+    return _CURRENT_MEMO.get(key) or shared(_CURRENT_MEMO, key, lambda: _current_orbit(*key))
 
 
 def _current_orbit(rs: RootSystem, k: int, lam: Weight) -> tuple[Weight, ...]:
@@ -491,6 +501,14 @@ def root_lattice_coords(rs: RootSystem, lower: Weight, upper: Weight) -> tuple[i
             return None
         coords.append(c // den)
     return tuple(coords)
+
+
+def is_weight_of(rs: RootSystem, lam: Weight, beta: Weight) -> bool:
+    """Whether beta is a weight of V^lam: its dominant W-conjugate lies below lam in the
+    root-lattice order (Humphreys §21.3). One chamber fold, and no diagram is built."""
+    lam = require_dominant(require_rank(rs, lam, "lam"), "lam")
+    rep = fold_dominant(rs, require_rank(rs, beta, "beta"))[0]
+    return root_lattice_coords(rs, rep, lam) is not None
 
 
 def root_lattice_depth(rs: RootSystem, lower: Weight, upper: Weight) -> int | None:

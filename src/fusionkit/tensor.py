@@ -64,6 +64,8 @@ def _orbit_points(rs: RootSystem, group, mu_rho: Weight) -> dict[Weight, int]:
 def tensor_multiplicity(rs: RootSystem, lam: Weight, mu: Weight, nu: Weight) -> int:
     """Copies of V^nu in V^lam (x) V^mu: sum_w eps(w) m_lam(nu+rho - w(mu+rho))."""
     lam, mu, nu = map(require_dominant, (lam, mu, nu))
+    if not len(mu) == len(nu) == rs.rank:  # lam's length is checked where its diagram is built
+        raise PreconditionError(f"mu = {mu}, nu = {nu}: each needs {rs.rank} coordinates for {rs}")
     table = weight_diagram(rs, lam).table
     orbit = _orbit_points(rs, weyl_elements(rs), wadd(mu, rs.rho))
     # x -> nu+rho - x swaps the two index sets, so one loop runs over the smaller

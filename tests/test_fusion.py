@@ -1,5 +1,8 @@
 import itertools
+import json
+import os
 import re
+import subprocess
 import sys
 from functools import cache
 
@@ -83,6 +86,75 @@ def test_a_weight_off_the_chamber_or_a_bad_root_index_is_refused_by_name(a2, nam
     call, message = _REFUSED_BY_NAME[name]
     with pytest.raises(PreconditionError, match=re.escape(message)):
         call(a2)
+
+
+# each public entry on A2 at level 2, with w in a slot that once took a weight of any length:
+# short weights hung (the dominant-weight walk never ends) and long ones gave wrong answers
+_WRONG_LENGTH_CALLS = {
+    "fusion_coefficient": "fusion_coefficient(rs, 2, w, (0, 1), (1, 1))",
+    "fusion_coefficient-nu": "fusion_coefficient(rs, 2, (1, 0), (0, 1), w)",
+    "kac_walton_coefficient": "kac_walton_coefficient(rs, 2, w, (0, 1), (1, 1))",
+    "fusion_coefficient_via_fz": "fusion_coefficient_via_fz(rs, 2, (1, 0), (0, 1), w)",
+    "fz_dimension": "fz_dimension(rs, 2, (1, 0), w, (0, 0))",
+    "walton_dimension": "walton_dimension(rs, 2, (1, 0), (1, 0), w)",
+    "prv_dimension": "prv_dimension(rs, (1, 0), (1, 0), w)",
+    "weyl_dimension": "weyl_dimension(rs, w)",
+    "weight_diagram": "weight_diagram(rs, w)",
+    "freudenthal_diagram": "freudenthal_diagram(rs, w)",
+    "recursion_diagram": "recursion_diagram(rs, w)",
+    "cached_module": "cached_module(rs, w)",
+    "build_module": "build_module(rs, w)",
+    "tensor_decompose": "tensor_decompose(rs, (1, 0), w)",
+    "tensor_multiplicity": "tensor_multiplicity(rs, (1, 0), (1, 0), w)",
+    "greedy_decompose": "greedy_decompose(rs, w, (1, 0))",
+    "dual_weight": "dual_weight(rs, w)",
+    "reflect": "reflect(rs, 0, w)",
+    "is_weight_of": "is_weight_of(rs, (1, 0), w)",
+    "is_weight_of-lam": "is_weight_of(rs, w, (1, 0))",
+}
+
+# runs every call with a short and a long w, each under a 10 s alarm, and prints the outcomes
+_WRONG_LENGTH_CHILD = """
+import json, signal, sys
+from fusionkit import *
+from fusionkit.rootdata import is_weight_of
+
+def hung(*_):
+    raise TimeoutError("no answer in 10 s")
+
+signal.signal(signal.SIGALRM, hung)
+rs, out = build_root_system("A2"), {}
+for name, call in json.loads(sys.argv[1]).items():
+    for w in ((1,), (0, 0, 5)):
+        signal.alarm(10)
+        try:
+            out[f"{name} {w}"] = f"returned {eval(call)!r}"
+        except Exception as exc:
+            out[f"{name} {w}"] = f"{type(exc).__name__}: {exc}"
+        finally:
+            signal.alarm(0)
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def wrong_length_outcomes():
+    """Outcome per call and weight, from one fresh process, so a call that hangs fails the
+    tests below instead of hanging the suite."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _WRONG_LENGTH_CHILD, json.dumps(_WRONG_LENGTH_CALLS)]
+    proc = subprocess.run(argv, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", _WRONG_LENGTH_CALLS)
+def test_a_weight_of_the_wrong_length_is_refused_by_every_public_entry(wrong_length_outcomes, name):
+    for w in ((1,), (0, 0, 5)):
+        outcome = wrong_length_outcomes[f"{name} {w}"]
+        assert outcome.startswith("PreconditionError: ") and "needs 2 coordinates for A2" in outcome
 
 
 def test_theta_pairing_is_comark_sum(a2, g2):
@@ -499,12 +571,26 @@ def test_a_point_query_builds_only_the_chosen_module(monkeypatch, name, k, tripl
 
     rs = build_root_system(name)
     monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
-    read = []
-    monkeypatch.setattr(fusionkit.fusion, "weight_diagram",
-                        lambda rs, lam: read.append(lam) or weight_diagram(rs, lam))
+    monkeypatch.setattr(fusionkit.multiplicity, "_DIAGRAM_MEMO", {})
     assert fusion_coefficient(rs, k, *triple) == value
     assert {lam: len(m._basis) for (_, lam), m in repspace._MODULE_MEMO.items()} == built
-    assert set(read) == {triple[0], *built}  # only lam's and the chosen module's diagrams
+    # the membership tests fold weights instead of reading diagrams: only built modules have one
+    assert fusionkit.multiplicity._DIAGRAM_MEMO.keys() == repspace._MODULE_MEMO.keys()
+
+
+@pytest.mark.parametrize("name, k, triple", [
+    ("A2", 9, ((4, 5), (0, 0), (0, 0))),  # nu - mu = 0 is not a weight of V^(4,5)
+    ("A2", 9, ((4, 5), (0, 0), (0, 1))),  # (0,1) is, but a member on V^0 has t - b not below 0
+    ("G2", 4, ((0, 4), (1, 0), (2, 0))),  # the chosen beta is below a, but not a weight of V^a
+])
+def test_a_zero_query_builds_neither_a_diagram_nor_a_module(monkeypatch, name, k, triple):
+    from fusionkit import repspace
+
+    rs = build_root_system(name)
+    monkeypatch.setattr(repspace, "_MODULE_MEMO", {})
+    monkeypatch.setattr(fusionkit.multiplicity, "_DIAGRAM_MEMO", {})
+    assert fusion_coefficient(rs, k, *triple) == 0
+    assert repspace._MODULE_MEMO == {} and fusionkit.multiplicity._DIAGRAM_MEMO == {}
 
 
 @pytest.mark.parametrize("name, k", [("G2", 4), ("A3", 3)])

@@ -18,10 +18,12 @@ from fusionkit.fusion import level_alcove
 from fusionkit.multiplicity import dominant_weights, dominant_weights_up_to_dim
 from fusionkit.rootdata import (
     apply_matrix,
+    is_weight_of,
     root_lattice_coords,
     root_lattice_depth,
     wadd,
     weyl_elements,
+    wneg,
 )
 
 
@@ -179,6 +181,23 @@ def test_weight_diagram_matches_the_recursion_beyond_criterion_8(drawn):
     production = weight_diagram(rs, lam)
     assert dict(production.table) == dict(recursion_diagram(rs, lam).table)
     assert production.dimension == weyl_dimension(rs, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("A1", "A2", "B2", "G2", "C3", "A3")).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(_dominants_up_to_300(name)))
+))
+def test_weight_membership_by_the_dominant_fold_is_diagram_membership(drawn):
+    """beta is a weight of V^lam exactly when its dominant conjugate is below lam, checked on
+    every weight of the diagram and on every weight one simple root or fundamental weight off."""
+    name, lam = drawn
+    rs = build_root_system(name)
+    table = weight_diagram(rs, lam).table
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    steps = [(0,) * rs.rank, *rs.simple_roots, *units]
+    steps += [wneg(step) for step in steps]
+    for beta in {wadd(nu, step) for nu in table for step in steps}:
+        assert is_weight_of(rs, lam, beta) == (beta in table), (lam, beta)
 
 
 def test_weyl_dimension_values(a2, g2):
