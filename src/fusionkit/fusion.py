@@ -5,7 +5,9 @@ of the raising operator for the highest root ("Walton space"); its dimension,
 one ``_walton_space`` rank as for the PRV space, is the fusion coefficient. Two
 oracles cross-certify it: Kac-Walton affine folding of tensor multiplicities at
 shifted level k + h_vee, and a direct Frenkel-Zhu computation on the tensor
-product module (invariant forms that kill e_theta^{k-<nu,theta>+1} of everything).
+product module (lowest weight vectors that f_theta^{k-<nu,theta>+1} (x) 1 kills:
+f_theta is the form-adjoint of e_theta, so these are the invariant forms that
+kill (e_theta^{k-<nu,theta>+1} V^lam) (x) V^mu).
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def _slice_pairs(mod_l: RepModule, mod_r: RepModule, gamma: Weight):
 
 
 def _slice_map(src, tgt, shift: Weight, left, right=None) -> RationalMatrix:
-    """X (x) 1 + 1 (x) Y from the slice listed in src into the one shift above it, listed in tgt.
+    """X (x) 1 + 1 (x) Y from the slice listed in src into the slice src + shift, listed in tgt.
 
     src and tgt are ``_slice_pairs`` lists. left(b1) is the block of X out of
     V^lam_{b1} and right(b2) that of Y out of V^mu_{b2}; each is read only where
@@ -289,11 +291,13 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
                  max_dim: int = DEFAULT_DIM_CAP) -> int:
     """Oracle on tiny instances: the symmetric coefficient N^(k)_{lam,mu,nu}.
 
-    Counts invariant maps out of V^lam (x) V^mu that kill the projection of
-    (e_theta^{k-<nu,theta>+1} V^lam) (x) V^mu onto the lowest-weight-vector
-    space of weight -nu. The theta power must act on the first tensor factor
-    only (the coproduct variant computes a different, wrong number). Equals
-    fusion_coefficient(lam, mu, nu*).
+    Counts the u of weight -nu in V^lam (x) V^mu that every f_j (x) 1 + 1 (x) f_j
+    kills (lowest weight vectors) and f_theta^p (x) 1 kills, p = k - <nu,theta> + 1:
+    the slice dimension less one rank of those maps stacked. f_theta is the
+    form-adjoint of e_theta and the form is positive definite, so these are the
+    invariant maps that kill (e_theta^p V^lam) (x) V^mu. The theta power must act
+    on the first tensor factor only (the coproduct variant computes a different,
+    wrong number). Equals fusion_coefficient(lam, mu, nu*).
     """
     lam, mu, nu = _check_triple(rs, k, lam, mu, nu)
     check_fz_cap(rs, lam, mu, max_fz_dim)
@@ -301,27 +305,15 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     mod_r = cached_module(rs, mu, max_dim)
     target = wneg(nu)
     pairs = _slice_pairs(mod_l, mod_r, target)
-    if not pairs:
-        return 0
-    lowering = [_slice_map(pairs, _slice_pairs(mod_l, mod_r, wsub(target, alpha)), wneg(alpha),
-                           partial(operator_power_block, mod_l, f"f{j}", 1),
-                           partial(operator_power_block, mod_r, f"f{j}", 1))
-                for j, alpha in enumerate(rs.simple_roots)]
-    lwv_basis = RationalMatrix.vstack(lowering).kernel()  # U^-: lowest weight vectors of weight -nu
-    count = lwv_basis.cols
-    if count == 0:
-        return 0
+    down = lambda shift, *ops: _slice_map(  # the map out of the target slice into target + shift
+        pairs, _slice_pairs(mod_l, mod_r, wadd(target, shift)), shift, *ops)
+    maps = [down(wneg(alpha), partial(operator_power_block, mod_l, f"f{j}", 1),
+                 partial(operator_power_block, mod_r, f"f{j}", 1))
+            for j, alpha in enumerate(rs.simple_roots)]
     p = k - theta_pairing(rs, nu) + 1
-    shift = wscale(p, rs.theta)
-    power = _slice_map(  # e_theta^p (x) 1 into the target slice
-        _slice_pairs(mod_l, mod_r, wsub(target, shift)), pairs, shift,
-        lambda b1: operator_power_block(mod_l, "etheta", p, b1),
-    )
-    sizes = [d1 * d2 for *_, d1, d2 in pairs]
-    gram = RationalMatrix.block(sizes, sizes, {
-        (t, t): mod_l.gram[b1].kron(mod_r.gram[b2]) for t, (b1, b2, _, _) in enumerate(pairs)
-    })
-    return count - (lwv_basis.transpose() @ gram @ power).rank()
+    maps.append(down(wscale(-p, rs.theta), partial(operator_power_block, mod_l, "ftheta", p)))
+    size = sum(d1 * d2 for *_, d1, d2 in pairs)
+    return size - RationalMatrix.vstack(maps, size).rank()
 
 
 def fusion_coefficient_via_fz(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,

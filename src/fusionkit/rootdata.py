@@ -387,11 +387,12 @@ def pairing(rs: RootSystem, lam: Weight, j: int) -> int:
     """<lam, alpha_j^vee>; coordinate-reading in the fundamental basis."""
     if not 0 <= j < rs.rank:
         raise PreconditionError(f"simple root index {j} out of range for {rs}")
-    return lam[j]
+    return require_rank(rs, lam, "lam")[j]
 
 
 def form(rs: RootSystem, lam: Weight, mu: Weight) -> Fraction:
     """Symmetric bilinear form with (theta, theta) = 2."""
+    lam, mu = require_rank(rs, lam), require_rank(rs, mu)
     return Fraction(sum(a * sum(map(mul, row, mu)) for a, row in zip(lam, rs.form_num) if a),
                     rs.form_den)
 

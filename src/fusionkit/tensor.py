@@ -25,6 +25,7 @@ from .rootdata import (
     apply_matrix,
     is_dominant,
     require_dominant,
+    require_rank,
     root_lattice_depth,
     shared,
     wadd,
@@ -136,7 +137,8 @@ def greedy_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> dict[Weight, in
 
 def weight_string(diagram: WeightDiagram, beta: Weight, direction: Weight) -> WeightString:
     """Scan the maximal arithmetic string through beta in a root direction."""
-    beta = tuple(beta)
+    rs = diagram.root_system
+    beta, direction = require_rank(rs, beta, "beta"), require_rank(rs, direction, "direction")
     if beta not in diagram.table:
         raise PreconditionError(f"{beta} is not a weight of V^{diagram.highest}")
     up = 0
@@ -149,7 +151,7 @@ def weight_string(diagram: WeightDiagram, beta: Weight, direction: Weight) -> We
     while cur in diagram.table:
         down += 1
         cur = wsub(cur, direction)
-    return WeightString(base=beta, direction=tuple(direction), down=down, up=up)
+    return WeightString(base=beta, direction=direction, down=down, up=up)
 
 
 def stability_threshold(diagram: WeightDiagram, beta: Weight, j: int) -> int:

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -34,13 +34,18 @@ import fusionkit.fusion
 import fusionkit.multiplicity
 from fusionkit.errors import InternalError
 from fusionkit.fusion import (
+    DEFAULT_FZ_CAP,
     FUSION_BACKENDS,
     _equivalent_triples,
+    _slice_map,
+    _slice_pairs,
     affine_fold,
     check_level,
     theta_pairing,
 )
-from fusionkit.rootdata import current_orbit, wadd, weyl_orbit, wsub
+from fusionkit.linalg import RationalMatrix
+from fusionkit.repspace import RepModule, cached_module, operator_power_block
+from fusionkit.rootdata import current_orbit, wadd, wneg, wscale, weyl_orbit, wsub
 
 
 def test_level_alcove(a1, a2):
@@ -111,6 +116,13 @@ _WRONG_LENGTH_CALLS = {
     "reflect": "reflect(rs, 0, w)",
     "is_weight_of": "is_weight_of(rs, (1, 0), w)",
     "is_weight_of-lam": "is_weight_of(rs, w, (1, 0))",
+    "pairing": "pairing(rs, w, 1)",
+    "form": "form(rs, w, (1, 1))",
+    "form-mu": "form(rs, (1, 1), w)",
+    "root_pairing": "root_pairing(rs, w, rs.theta)",
+    "root_pairing-root": "root_pairing(rs, (1, 1), w)",
+    "weight_string": "weight_string(weight_diagram(rs, (1, 1)), w, rs.theta)",
+    "weight_string-direction": "weight_string(weight_diagram(rs, (1, 1)), (1, 1), w)",
 }
 
 # runs every call with a short and a long w, each under a 10 s alarm, and prints the outcomes
@@ -332,6 +344,60 @@ def test_fz_examples(a1, a2):
     assert fz_dimension(a2, 1, (1, 0), (1, 0), (0, 1)) == 0
 
 
+def _fz_by_invariant_forms(rs, k, lam, mu, nu):
+    """N^(k)_{lam,mu,nu} as invariant forms: the lowest weight vectors u of weight -nu in
+    V^lam (x) V^mu (a kernel basis K), less the rank of the pairing <u, (e_theta^p (x) 1) w>
+    under the product of the two contravariant forms, K^T G (e_theta^p (x) 1)."""
+    mod_l, mod_r = cached_module(rs, lam), cached_module(rs, mu)
+    target = wneg(nu)
+    pairs = _slice_pairs(mod_l, mod_r, target)
+    if not pairs:
+        return 0
+    lwv = RationalMatrix.vstack([
+        _slice_map(pairs, _slice_pairs(mod_l, mod_r, wsub(target, alpha)), wneg(alpha),
+                   partial(operator_power_block, mod_l, f"f{j}", 1),
+                   partial(operator_power_block, mod_r, f"f{j}", 1))
+        for j, alpha in enumerate(rs.simple_roots)]).kernel()
+    if not lwv.cols:
+        return 0
+    p = k - theta_pairing(rs, nu) + 1
+    shift = wscale(p, rs.theta)
+    power = _slice_map(_slice_pairs(mod_l, mod_r, wsub(target, shift)), pairs, shift,
+                       partial(operator_power_block, mod_l, "etheta", p))
+    sizes = [d1 * d2 for *_, d1, d2 in pairs]
+    gram = RationalMatrix.block(sizes, sizes, {
+        (t, t): mod_l.gram[b1].kron(mod_r.gram[b2]) for t, (b1, b2, _, _) in enumerate(pairs)})
+    return lwv.cols - (lwv.transpose() @ gram @ power).rank()
+
+
+@pytest.mark.parametrize("name, k", [("A1", 1), ("A1", 2), ("A1", 3), ("A1", 4), ("A2", 1),
+                                     ("A2", 2), ("A2", 3), ("B2", 2), ("G2", 2), ("A3", 2)])
+def test_fz_dimension_equals_the_invariant_forms_that_kill_the_theta_power(name, k):
+    """f_theta is the form-adjoint of e_theta and the form is positive definite on every
+    weight space, so (f_theta^p (x) 1) u = 0 says <u, (e_theta^p (x) 1) w> = 0 for every w."""
+    rs = build_root_system(name)
+    alcove = level_alcove(rs, k)
+    checked = 0
+    for lam, mu, nu in itertools.product(alcove, repeat=3):
+        if weyl_dimension(rs, lam) * weyl_dimension(rs, mu) <= DEFAULT_FZ_CAP:
+            assert fz_dimension(rs, k, lam, mu, nu) == _fz_by_invariant_forms(rs, k, lam, mu, nu)
+            checked += 1
+    assert checked
+
+
+def test_fz_dimension_takes_no_kernel_and_reads_no_gram(monkeypatch, a2):
+    def refuse(*_):
+        raise AssertionError("a kernel basis or a Gram matrix was read")
+
+    monkeypatch.setattr(RationalMatrix, "kernel", refuse)
+    monkeypatch.setattr(RepModule, "gram", property(refuse))
+    monkeypatch.setattr(fusionkit.repspace, "_MODULE_MEMO", {})
+    alcove = level_alcove(a2, 2)
+    for lam, mu, nu in itertools.product(alcove, repeat=3):
+        assert fz_dimension(a2, 2, lam, mu, nu) == fusion_coefficient(a2, 2, lam, mu,
+                                                                       dual_weight(a2, nu))
+
+
 @pytest.mark.parametrize("name, lam, mu", [("A2", (1, 0), (0, 1)), ("A3", (1, 0, 0), (0, 0, 1))])
 def test_fz_dimension_lists_each_slice_once(monkeypatch, name, lam, mu):
     """The target slice, each target - alpha_j and target - p theta: rank + 2 listings."""
@@ -340,7 +406,7 @@ def test_fz_dimension_lists_each_slice_once(monkeypatch, name, lam, mu):
     original = fusionkit.fusion._slice_pairs
     monkeypatch.setattr(fusionkit.fusion, "_slice_pairs",
                         lambda ml, mr, gamma: listed.append(gamma) or original(ml, mr, gamma))
-    assert fz_dimension(rs, 1, lam, mu, (0,) * rs.rank) == 1  # reaches the e_theta power map
+    assert fz_dimension(rs, 1, lam, mu, (0,) * rs.rank) == 1  # reaches the f_theta^p map
     assert len(listed) == len(set(listed)) == rs.rank + 2
 
 
