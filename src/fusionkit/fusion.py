@@ -1,13 +1,13 @@
 """Level-k fusion coefficients with three independent backends.
 
-The production backend cuts the PRV subspace of V^lam_beta further by a power
-of the raising operator for the highest root ("Walton space"); its dimension,
-one ``_walton_space`` rank as for the PRV space, is the fusion coefficient. Two
-oracles cross-certify it: Kac-Walton affine folding of tensor multiplicities at
-shifted level k + h_vee, and a direct Frenkel-Zhu computation on the tensor
-product module (lowest weight vectors that f_theta^{k-<nu,theta>+1} (x) 1 kills:
-f_theta is the form-adjoint of e_theta, so these are the invariant forms that
-kill (e_theta^{k-<nu,theta>+1} V^lam) (x) V^mu).
+The production backend cuts the PRV subspace of V^lam_beta further by a power of the
+raising operator for the highest root ("Walton space"); its dimension, the fusion
+coefficient, is read off the weight diagram by ``_walton_space`` (maximal ranks along
+sl2 strings) unless two live constraints need a stacked rank. Two oracles cross-certify
+it: Kac-Walton affine folding of tensor multiplicities at shifted level k + h_vee, and a
+direct Frenkel-Zhu computation on the tensor product module (lowest weight vectors that
+f_theta^{k-<nu,theta>+1} (x) 1 kills: f_theta is the form-adjoint of e_theta, so these
+are the invariant forms that kill (e_theta^{k-<nu,theta>+1} V^lam) (x) V^mu).
 """
 
 from __future__ import annotations
@@ -115,13 +115,24 @@ def _module_with_weight(rs: RootSystem, lam: Weight, beta: Weight, max_dim: int)
 
 def _walton_space(module: RepModule, beta: Weight, mu: Weight, k: int | None = None) -> int:
     """dim{v in V^lam_beta : e_j^{<mu,alpha_j>+1} v = 0 for all j} (PRV), and at a level k also
-    e_theta^{k-<beta+mu,theta>+1} v = 0 (Walton), in the module V^lam that holds the weight beta."""
-    blocks = [operator_power_block(module, f"e{j}", m + 1, beta) for j, m in enumerate(mu)]
+    e_theta^{k-<beta+mu,theta>+1} v = 0 (Walton), in the module V^lam that holds the weight beta.
+
+    Each e^n is a power of one sl2-triple's root vector (the nested commutator e_theta is a
+    nonzero multiple of theta's; ``repspace`` refuses it if it vanishes), so out of V_beta it has
+    maximal rank min(dim V_beta, dim V_{beta+n alpha}), read off the diagram. If one constraint
+    has full rank, or at most one is live (nonzero), that decides the value and builds no weight
+    space; else only the live blocks are stacked and ranked.
+    """
+    rs, dim = module.root_system, module.dim_at(beta)
+    ops = [(f"e{j}", m + 1, alpha) for j, (m, alpha) in enumerate(zip(mu, rs.simple_roots))]
     if k is not None:
-        p = k - theta_pairing(module.root_system, wadd(beta, mu)) + 1
-        blocks.append(operator_power_block(module, "etheta", p, beta))
-    dim = module.dim_at(beta)
-    return dim - RationalMatrix.vstack(blocks, dim).rank()
+        ops.append(("etheta", k - theta_pairing(rs, wadd(beta, mu)) + 1, rs.theta))
+    live = {(op, n): r for op, n, alpha in ops
+            if (r := min(dim, module.dim_at(wadd(beta, wscale(n, alpha)))))}
+    if len(live) <= 1 or dim in live.values():
+        return dim - max(live.values(), default=0)
+    return dim - RationalMatrix.vstack(
+        [operator_power_block(module, op, n, beta) for op, n in live], dim).rank()
 
 
 def prv_dimension(rs: RootSystem, lam: Weight, beta: Weight, mu: Weight,

@@ -139,6 +139,8 @@ def weight_string(diagram: WeightDiagram, beta: Weight, direction: Weight) -> We
     """Scan the maximal arithmetic string through beta in a root direction."""
     rs = diagram.root_system
     beta, direction = require_rank(rs, beta, "beta"), require_rank(rs, direction, "direction")
+    if not any(direction):  # beta + 0 is beta: the scan would never end
+        raise PreconditionError("direction must be nonzero")
     if beta not in diagram.table:
         raise PreconditionError(f"{beta} is not a weight of V^{diagram.highest}")
     up = 0

@@ -243,9 +243,9 @@ def _a2_directions(rs):
 
 
 def _lemma_orthogonal_split(report: SuiteReport) -> None:
-    """V = ker(f^p) + im(e^p), orthogonally in each weight space, for every p up to past the
-    longest string: on the A1 modules of dim <= 11, and on the A2 modules of dim <= 64 along
-    each of ``_a2_directions``, where weight spaces of dimension > 1 let the two meet."""
+    """V = ker(f^p) + im(e^p) orthogonally, and e^p of maximal rank, in each weight space for
+    every p up to past the longest string: on the A1 modules of dim <= 11 and the A2 modules of
+    dim <= 64 along each of ``_a2_directions`` (weight spaces of dim > 1 let the two meet)."""
     a1, a2 = build_root_system("A1"), build_root_system("A2")
     cases = [(a1, (m,), ("e0", "f0", a1.simple_roots[0])) for m in range(11)]
     cases += [(a2, lam, direction) for lam in dominant_weights_up_to_dim(a2, 64)
@@ -261,7 +261,9 @@ def _lemma_orthogonal_split(report: SuiteReport) -> None:
                 back = wsub(beta, wscale(p, alpha))
                 if back in module.basis_index:
                     image = operator_power_block(module, e_op, p, back)
-                    im_total += image.rank()
+                    im_total += (rank := image.rank())  # maximal, as _walton_space assumes
+                    report.check(rank == min(module.dim_at(back), module.dim_at(beta)),
+                                 lambda: f"{rs} V^{lam}: {e_op}^{p} out of {back} below max rank")
                     if kb.cols and not image.is_zero():
                         overlap = kb.transpose() @ module.gram[beta] @ image
                         report.check(overlap.is_zero(),

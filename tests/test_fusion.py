@@ -627,8 +627,9 @@ def test_every_routed_cell_equals_the_unrouted_walton_space(name, k):
 
 
 @pytest.mark.parametrize("name, k, triple, value, built", [
-    # N^{(0,1,1)}_{(1,1,1),(1,1,0)} is ranked on V^(1,0,1), where V^(1,1,1) would build 15
-    ("A3", 3, ((1, 1, 1), (1, 1, 0), (0, 1, 1)), 2, {(1, 0, 1): 7}),
+    # N^{(0,1,1)}_{(1,1,1),(1,1,0)} is read on V^(1,0,1), where V^(1,1,1) would build 15; its
+    # one live constraint has maximal rank, read off the diagram, so only V_(1,0,1) is built
+    ("A3", 3, ((1, 1, 1), (1, 1, 0), (0, 1, 1)), 2, {(1, 0, 1): 1}),
     # G2 has no currents; commutativity and the duals pick V^(1,2) over V^(1,4) (68 built)
     ("G2", 6, ((1, 4), (1, 3), (1, 2)), 4, {(1, 2): 18}),
 ])
@@ -680,6 +681,25 @@ def test_a_table_ranks_each_class_once_on_the_member_a_point_query_ranks(monkeyp
         ranked.clear()
         assert fusion_coefficient(rs, k, *triple) == table.coefficient(*triple)
         assert ranked == [triple]
+
+
+@pytest.mark.parametrize("name, k", [("A2", 6), ("B2", 4), ("G2", 4), ("C3", 3)])
+def test_every_ranked_class_equals_the_full_stacked_rank(monkeypatch, name, k):
+    """The ranks ``_walton_space`` reads off the diagram, and the stacks of only its live blocks,
+    give dim V_beta less the rank of every constraint block stacked, on each class a table ranks."""
+    rs = build_root_system(name)
+    calls = []
+    original = fusionkit.fusion._walton_space
+    monkeypatch.setattr(fusionkit.fusion, "_walton_space",
+                        lambda *args: calls.append(args) or original(*args))
+    fusion_table(rs, k)
+    assert calls
+    for module, beta, mu, level in calls:
+        blocks = [operator_power_block(module, f"e{j}", m + 1, beta) for j, m in enumerate(mu)]
+        p = level - theta_pairing(rs, wadd(beta, mu)) + 1
+        blocks.append(operator_power_block(module, "etheta", p, beta))
+        full = module.dim_at(beta) - RationalMatrix.vstack(blocks, module.dim_at(beta)).rank()
+        assert original(module, beta, mu, level) == full, (module.highest, beta, mu)
 
 
 def test_tables_and_point_queries_never_go_through_walton_dimension(monkeypatch):

@@ -14,7 +14,7 @@ from fusionkit import (
     weight_diagram,
 )
 from fusionkit.linalg import RationalMatrix
-from fusionkit.rootdata import root_lattice_coords, wadd, wneg, wsub
+from fusionkit.rootdata import root_lattice_coords, wadd, wneg, wscale, wsub
 
 
 def _block(module, op, shift, src):
@@ -177,6 +177,24 @@ def test_power_block_kernel_sl2_closed_form(a1):
 def test_power_block_kernel_theta_singlet(a2):
     module = cached_module(a2, a2.theta)
     assert operator_power_block(module, "etheta", 1, (0, 0)).kernel().cols == 1
+
+
+@pytest.mark.parametrize("name, k", [("A2", 4), ("B2", 3), ("C3", 2), ("G2", 3)])
+def test_a_root_vector_power_has_maximal_rank_read_off_the_diagram(name, k):
+    """e^n : V_beta -> V_{beta+n alpha} has rank min(dim V_beta, dim V_{beta+n alpha}) for every
+    simple root and theta, n up to one past the string: the sl2 rule ``_walton_space`` reads."""
+    from fusionkit import level_alcove, weight_string
+
+    rs = build_root_system(name)
+    directions = [(f"e{j}", alpha) for j, alpha in enumerate(rs.simple_roots)]
+    for lam in level_alcove(rs, k):
+        module = cached_module(rs, lam)
+        for beta, dim in module.diagram.table.items():
+            for op, alpha in directions + [("etheta", rs.theta)]:
+                for n in range(1, weight_string(module.diagram, beta, alpha).up + 2):
+                    rank = operator_power_block(module, op, n, beta).rank()
+                    target = module.dim_at(wadd(beta, wscale(n, alpha)))
+                    assert rank == min(dim, target), (lam, beta, op, n)
 
 
 def test_power_block_validation(a2):
@@ -501,11 +519,14 @@ def _cone(rs, weights, beta):
 
 
 @pytest.mark.parametrize("name, k, lam, beta, sizes", [
-    ("A2", 6, (6, 0), (1, 1), (7, 28)), ("A2", 6, (6, 0), (0, 0), (12, 28)),
-    ("G2", 4, (1, 2), (0, 1), (18, 55)), ("G2", 4, (1, 2), (0, 0), (26, 55)),
+    # every weight space of V^(6,0) is a line, so a live constraint has full rank: 0, V_lam built
+    ("A2", 6, (6, 0), (1, 1), (1, 7, 28)), ("A2", 6, (6, 0), (0, 0), (1, 12, 28)),
+    # two live constraints of rank < dim V_beta are ranked, on the whole upper cone
+    ("G2", 4, (1, 2), (0, 1), (18, 18, 55)), ("G2", 4, (1, 2), (0, 0), (26, 26, 55)),
 ])
 def test_a_query_builds_only_the_upper_cone_of_its_weight(monkeypatch, name, k, lam, beta, sizes):
-    """The Walton space of V^lam at beta (mu = 0) reads V^lam at beta and above it, and nowhere else."""
+    """The Walton space of V^lam at beta (mu = 0) reads V^lam at beta and above it, and nowhere
+    else; (weights built, weights in that upper cone, weights of V^lam) are pinned."""
     from fusionkit import repspace, walton_dimension
 
     rs = build_root_system(name)
@@ -514,8 +535,8 @@ def test_a_query_builds_only_the_upper_cone_of_its_weight(monkeypatch, name, k, 
     module = repspace._MODULE_MEMO[(rs, lam)]
     weights = weight_diagram(rs, lam).table
     cone = _cone(rs, weights, beta)
-    assert set(module._basis) == cone
-    assert (len(cone), len(weights)) == sizes
+    assert set(module._basis) <= cone
+    assert (len(module._basis), len(cone), len(weights)) == sizes
 
 
 @pytest.mark.parametrize("name, k", [("A2", 6), ("G2", 4), ("C3", 2), ("E6", 1)])

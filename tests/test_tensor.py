@@ -213,6 +213,11 @@ def test_weight_string_examples(a1, a2):
         weight_string(dth, (5, 5), a2.theta)
 
 
+def test_a_zero_direction_is_refused_instead_of_scanned_forever(a2):
+    with pytest.raises(PreconditionError, match="nonzero"):
+        weight_string(weight_diagram(a2, (1, 1)), (1, 1), (0, 0))
+
+
 @pytest.mark.parametrize("name,lam", [("A1", (4,)), ("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1))])
 def test_string_symmetry(name, lam):
     # up - down = -<beta, alpha> along every root direction
