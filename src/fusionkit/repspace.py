@@ -4,15 +4,15 @@ A module is built weight space by weight space, walking down from the highest
 weight vector. Basis vectors are honest f-monomials: the label (i1, ..., is)
 means f_{i1} f_{i2} ... f_{is} applied to the highest weight vector. The
 commutation relation e_i f_j = f_j e_i + delta_ij h_i gives e_i on every
-spanning vector f_j b of a weight space from the blocks of the levels above,
-and the contravariant form, (f_i u, w) = (u, e_i w), turns those into the
-spanning Gram matrix. The form is positive definite, so one reduced row
-echelon form of that Gram matrix does the rest: its pivot columns are the
+spanning vector f_j b of a weight space from the blocks of the levels above.
+Below lam a vector is zero exactly when every e_i kills it, so one reduced row
+echelon form of that raising map does the rest: its pivot columns are the
 basis (the first independent spanning monomials, in label order), its rows
 are the lowering blocks, the coordinates of every spanning vector in that
-basis, and e_i at the pivot columns is the raising block. No Gram matrix is
-ever inverted, and bracket relations hold because the matrices are the true
-module action.
+basis, and e_i at the pivot columns is the raising block. The build forms no
+Gram matrix: ``gram`` reads the contravariant form, (f_i u, w) = (u, e_i w),
+off the raising blocks of the complete module and checks it there. Bracket
+relations hold because the matrices are the true module action.
 
 Weight spaces are built on demand: reading V_beta builds it and every unbuilt
 weight above it (its upper cone, gamma - beta in Q+), in the same (depth,
@@ -40,7 +40,7 @@ MonomialLabel = tuple[int, ...]
 
 
 class RepModule:
-    """V^lam with weight-graded basis, Gram matrices, and operator blocks.
+    """V^lam with weight-graded basis and operator blocks; ``gram`` is derived on first read.
 
     All maps are keyed by the source weight: ``lowering[(i, b)]`` is
     f_i : V_b -> V_{b - alpha_i}, ``raising[(i, b)]`` is e_i : V_b -> V_{b + alpha_i},
@@ -54,7 +54,7 @@ class RepModule:
         self.root_system, self.highest, self.diagram = root_system, highest, diagram
         self._order = order
         self._basis: dict[Weight, tuple[MonomialLabel, ...]] = {}
-        self._gram: dict[Weight, RationalMatrix] = {}
+        self._gram: dict[Weight, RationalMatrix] | None = None
         self._lowering: dict[tuple[int, Weight], RationalMatrix] = {}
         self._raising: dict[tuple[int, Weight], RationalMatrix] = {}
         self._theta_steps: dict[str, tuple[tuple[Weight, Weight], ...]] | None = None
@@ -72,7 +72,7 @@ class RepModule:
 
     # the public maps complete the module before they are read
     basis_index = property(lambda self: _complete(self)._basis)
-    gram = property(lambda self: _complete(self)._gram)
+    gram = property(lambda self: _form(_complete(self)))
     lowering = property(lambda self: _complete(self)._lowering)
     raising = property(lambda self: _complete(self)._raising)
     theta_raising = property(lambda self: _theta_map(self, "etheta"))
@@ -100,7 +100,6 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     if next(iter(order)) != lam:
         raise InternalError(f"{next(iter(order))} sorts above the highest weight {lam}")
     module = RepModule(rs, lam, diagram, order)
-    module._gram[lam] = RationalMatrix.identity(1)
     module._basis[lam] = ((),)
     return build_theta_operators(rs, module)
 
@@ -130,11 +129,11 @@ def _ensure(module: RepModule, beta: Weight) -> None:
 
 
 def _build_weight(module: RepModule, beta: Weight) -> None:
-    """V_beta with its Gram matrix, the lowering blocks into it and the raising blocks out of it.
+    """V_beta with the lowering blocks into it and the raising blocks out of it.
 
     Every weight above beta is built; V_beta is published in ``_basis`` last.
     """
-    rs, basis, gram = module.root_system, module._basis, module._gram
+    rs, basis = module.root_system, module._basis
     lowering, raising = module._lowering, module._raising
     ups = {i: wadd(beta, a) for i, a in enumerate(rs.simple_roots)
            if wadd(beta, a) in module.diagram.table}
@@ -153,27 +152,15 @@ def _build_weight(module: RepModule, beta: Weight) -> None:
             if i == j and up_i[i]:
                 diag = RationalMatrix.identity(dims[r]).scale(up_i[i])
                 e_span[r, c] = e_span[r, c] + diag if (r, c) in e_span else diag
-    # spanning Gram: (f_i a, f_j b) = (a, e_i f_j b)
-    grams = [gram[up] for up in ups.values()]
-    span_gram = RationalMatrix.block(
-        dims, dims, {(r, c): grams[r] @ m for (r, c), m in e_span.items()}
-    )
-    if span_gram != span_gram.transpose():
-        raise InternalError(f"Gram not symmetric at {beta}")
-
-    # the form is positive definite on V_beta, so the relations among the spanning
-    # vectors are those among the Gram columns: the rref pivots are the first-wins
-    # basis and its rows are the coordinates of every spanning vector in that basis
-    chosen, coords = span_gram.rref()
+    # below lam a vector is zero exactly when every e_i kills it, so the relations among the
+    # spanning vectors are the null space of e_rows: the rref pivots are the first-wins basis
+    # and its rows are the coordinates of every spanning vector in that basis
+    e_rows = RationalMatrix.block(dims, dims, e_span)
+    chosen, coords = e_rows.rref()
     target = module.diagram.table[beta]
     if len(chosen) != target:
         raise InternalError(f"rank {len(chosen)} != multiplicity {target} at {beta}")
-    g_beta = span_gram.select(chosen, chosen)
-    if not g_beta.is_positive_definite():
-        raise InternalError(f"contravariant form not positive definite at {beta}")
     span = [(i,) + label for i, up in ups.items() for label in basis[up]]
-    gram[beta] = g_beta
-    e_rows = RationalMatrix.block(dims, dims, e_span)
     offset = 0
     for (i, up), d in zip(ups.items(), dims):
         part = range(offset, offset + d)
@@ -181,6 +168,25 @@ def _build_weight(module: RepModule, beta: Weight) -> None:
         raising[(i, beta)] = e_rows.select(part, chosen)
         offset += d
     basis[beta] = tuple(span[s] for s in chosen)
+
+
+def _form(module: RepModule) -> dict[Weight, RationalMatrix]:
+    """The Gram matrix of each weight space, read off the raising blocks and checked.
+
+    (f_i a, w) = (a, e_i w): the row of f_i a in G_beta is row a of G_{beta+alpha_i} @ e_i.
+    """
+    if module._gram is None:
+        basis, gram = module._basis, {module.highest: RationalMatrix.identity(1)}
+        for beta in list(module._order)[1:]:  # the labels of V_beta run in order of s[0]
+            ups = {s[0]: wadd(beta, module.root_system.simple_roots[s[0]]) for s in basis[beta]}
+            g = gram[beta] = RationalMatrix.vstack(
+                gram[up].select([basis[up].index(s[1:]) for s in basis[beta] if s[0] == i],
+                                range(len(basis[up]))) @ module._raising[(i, beta)]
+                for i, up in ups.items())
+            if g != g.transpose() or not g.is_positive_definite():
+                raise InternalError(f"contravariant form not symmetric positive definite at {beta}")
+        module._gram = gram
+    return module._gram
 
 
 def build_theta_operators(rs: RootSystem, module: RepModule) -> RepModule:

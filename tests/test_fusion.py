@@ -398,6 +398,31 @@ def test_fz_dimension_takes_no_kernel_and_reads_no_gram(monkeypatch, a2):
                                                                        dual_weight(a2, nu))
 
 
+def test_walton_tables_and_point_queries_read_no_contravariant_form(monkeypatch, g2):
+    """Modules are built from the raising map alone: a table and point queries that build
+    weight spaces on fresh modules run no Sylvester test and read no Gram matrix."""
+    expect = fusion_table(g2, 4, backend="kacwalton")
+
+    def refuse(*_):
+        raise AssertionError("a Gram matrix was read or tested")
+
+    monkeypatch.setattr(RationalMatrix, "is_positive_definite", refuse)
+    monkeypatch.setattr(RepModule, "gram", property(refuse))
+    table_memo, query_memo = {}, {}
+    monkeypatch.setattr(fusionkit.repspace, "_MODULE_MEMO", table_memo)
+    assert fusion_table(g2, 4) == expect
+    monkeypatch.setattr(fusionkit.repspace, "_MODULE_MEMO", query_memo)
+    # each query ranks a Walton space that the weight diagram alone does not decide
+    for name, k, lam, mu, nu in (("B2", 5, (2, 0), (0, 5), (0, 5)),
+                                 ("G2", 4, (1, 2), (0, 3), (1, 2)),
+                                 ("C3", 2, (1, 1, 0), (2, 0, 0), (1, 1, 0)),
+                                 ("G2", 6, (1, 4), (1, 3), (1, 2))):
+        rs = build_root_system(name)
+        assert fusion_coefficient(rs, k, lam, mu, nu) == kac_walton_coefficient(rs, k, lam, mu, nu)
+    for memo in (table_memo, query_memo):  # weight spaces below lam were built
+        assert any(len(module._basis) > 1 for module in memo.values())
+
+
 @pytest.mark.parametrize("name, lam, mu", [("A2", (1, 0), (0, 1)), ("A3", (1, 0, 0), (0, 0, 1))])
 def test_fz_dimension_lists_each_slice_once(monkeypatch, name, lam, mu):
     """The target slice, each target - alpha_j and target - p theta: rank + 2 listings."""

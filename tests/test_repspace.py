@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -13,6 +14,7 @@ from fusionkit import (
     operator_power_block,
     weight_diagram,
 )
+from fusionkit.errors import InternalError
 from fusionkit.linalg import RationalMatrix
 from fusionkit.rootdata import root_lattice_coords, wadd, wneg, wscale, wsub
 
@@ -97,6 +99,16 @@ def test_gram_positive_definite(name, lam):
         for k in range(1, gram.rows + 1):
             leading = RationalMatrix([[gram[i, j] for j in range(k)] for i in range(k)])
             assert _det(leading) > 0, (beta, k)
+
+
+@pytest.mark.parametrize("src, factor", [((0, 0), 2), ((-1, 2), -1)])
+def test_reading_gram_checks_the_form_it_derives_from_the_raising_blocks(a2, src, factor):
+    """Scaling one raising block of V^(1,1) breaks the form read off it: at (0, 0), where
+    e_0 and e_1 both give rows, G is no longer symmetric; on the line (-1, 2), G = (-1)."""
+    module = build_module(a2, (1, 1))
+    module._raising[(0, src)] = module.raising[(0, src)].scale(factor)
+    with pytest.raises(InternalError, match=re.escape(f"at {src}")):
+        module.gram
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -466,9 +478,11 @@ def _reference_greedy_independent(sg, total, target):
     return chosen
 
 
-@pytest.mark.parametrize(
-    "name, lam", [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 1)), ("C3", (1, 0, 1))]
-)
+@pytest.mark.parametrize("name, lam", [
+    ("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 1)), ("C3", (1, 0, 1)),
+    # deeper modules: the reference picks its basis from the spanning Gram, the build from e_rows
+    ("G2", (2, 1)), ("B3", (1, 0, 1)), ("F4", (0, 0, 0, 1)),
+])
 def test_basis_and_lowering_match_fraction_gram_schmidt(name, lam):
     rs = build_root_system(name)
     module = cached_module(rs, lam)
@@ -555,7 +569,7 @@ def test_cone_built_blocks_equal_those_of_the_complete_module(name, k):
             etheta = operator_power_block(part, "etheta", 1, beta)
             assert set(part._basis) == _cone(rs, full.basis_index, beta)
             for gamma, labels in part._basis.items():
-                assert labels == full.basis_index[gamma] and part._gram[gamma] == full.gram[gamma]
+                assert labels == full.basis_index[gamma]
             assert all(blk == full.lowering[key] for key, blk in part._lowering.items())
             assert all(blk == full.raising[key] for key, blk in part._raising.items())
             assert etheta == theta.get(beta, RationalMatrix.zeros(0, part.dim_at(beta)))
