@@ -316,6 +316,8 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     mod_r = cached_module(rs, mu, max_dim)
     target = wneg(nu)
     pairs = _slice_pairs(mod_l, mod_r, target)
+    if not pairs:  # -nu is not a weight of V^lam (x) V^mu
+        return 0
     down = lambda shift, *ops: _slice_map(  # the map out of the target slice into target + shift
         pairs, _slice_pairs(mod_l, mod_r, wadd(target, shift)), shift, *ops)
     maps = [down(wneg(alpha), partial(operator_power_block, mod_l, f"f{j}", 1),

@@ -14,25 +14,24 @@ Gram matrix: ``gram`` reads the contravariant form, (f_i u, w) = (u, e_i w),
 off the raising blocks of the complete module and checks it there. Bracket
 relations hold because the matrices are the true module action.
 
-Weight spaces are built on demand: reading V_beta builds it and every unbuilt
-weight above it (its upper cone, gamma - beta in Q+), in the same (depth,
-weight) order and by the same step, so every block equals that of the complete
-module. The public maps complete the module first. Every module comes with
-e_theta and f_theta, nested commutators of the simple raisings and lowerings
-taken one source weight at a time and memoised on the module. ``cached_module``
-checks the cap on every call and shares one module per (root system, lam).
+Weight spaces are built on demand: reading V_beta walks up the weight diagram
+and builds every unbuilt weight above it (its upper cone, gamma - beta in Q+),
+by the same step, so every block equals that of the complete module. The public
+maps complete the module first. Every module comes with e_theta and f_theta,
+nested commutators of the simple raisings and lowerings taken one source weight
+at a time and memoised on the module. ``cached_module`` checks the cap on every
+call and shares one module per (root system, lam).
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from operator import le
 
 from .errors import CapExceededError, InternalError, PreconditionError
 from .linalg import RationalMatrix
 from .multiplicity import WeightDiagram, weight_diagram, weyl_dimension
-from .rootdata import RootSystem, Weight, root_lattice_coords, shared, wadd, wneg, wscale, wsub
+from .rootdata import RootSystem, Weight, dual_weight, shared, wadd, wneg, wscale, wsub
 
 DEFAULT_DIM_CAP = 3000
 
@@ -42,18 +41,15 @@ MonomialLabel = tuple[int, ...]
 class RepModule:
     """V^lam with weight-graded basis and operator blocks; ``gram`` is derived on first read.
 
-    All maps are keyed by the source weight: ``lowering[(i, b)]`` is
-    f_i : V_b -> V_{b - alpha_i}, ``raising[(i, b)]`` is e_i : V_b -> V_{b + alpha_i},
-    and the theta blocks shift by +-theta. ``_order`` maps the weights, in
-    build order, to the simple-root coordinates of lam - weight; the private
-    dicts grow under ``_lock`` and are never iterated while partial.
+    All maps are keyed by the source weight: ``lowering[(i, b)]`` is f_i : V_b -> V_{b - alpha_i},
+    ``raising[(i, b)]`` is e_i : V_b -> V_{b + alpha_i}, and the theta blocks shift by +-theta.
+    ``_basis`` holds the built weights in build order, each after the weights one simple root
+    above it; the private dicts grow under ``_lock`` and are never iterated while partial.
     """
 
-    def __init__(self, root_system: RootSystem, highest: Weight, diagram: WeightDiagram,
-                 order: dict[Weight, tuple[int, ...]]):
+    def __init__(self, root_system: RootSystem, highest: Weight, diagram: WeightDiagram):
         self.root_system, self.highest, self.diagram = root_system, highest, diagram
-        self._order = order
-        self._basis: dict[Weight, tuple[MonomialLabel, ...]] = {}
+        self._basis: dict[Weight, tuple[MonomialLabel, ...]] = {highest: ((),)}
         self._gram: dict[Weight, RationalMatrix] | None = None
         self._lowering: dict[tuple[int, Weight], RationalMatrix] = {}
         self._raising: dict[tuple[int, Weight], RationalMatrix] = {}
@@ -94,37 +90,37 @@ def build_module(rs: RootSystem, lam: Weight, max_dim: int = DEFAULT_DIM_CAP) ->
     """
     lam = tuple(lam)
     check_dim_cap(rs, lam, max_dim)
-    diagram = weight_diagram(rs, lam)
-    coords = {nu: root_lattice_coords(rs, nu, lam) for nu in diagram.table}
-    order = dict(sorted(coords.items(), key=lambda item: (sum(item[1]), item[0])))
-    if next(iter(order)) != lam:
-        raise InternalError(f"{next(iter(order))} sorts above the highest weight {lam}")
-    module = RepModule(rs, lam, diagram, order)
-    module._basis[lam] = ((),)
-    return build_theta_operators(rs, module)
+    return build_theta_operators(rs, RepModule(rs, lam, weight_diagram(rs, lam)))
 
 
 def _complete(module: RepModule) -> RepModule:
-    """Build every weight space: the upper cone of the lowest weight is the whole module."""
-    _ensure(module, next(reversed(module._order)))
+    """Build every weight space: the upper cone of the lowest weight, w0 lam = -lam*."""
+    _ensure(module, wneg(dual_weight(module.root_system, module.highest)))
     return module
 
 
 def _ensure(module: RepModule, beta: Weight) -> None:
-    """Build V_beta and every unbuilt weight above it, in (depth, weight) order."""
+    """Build V_beta and every unbuilt weight above it, walking up the weight diagram from beta.
+
+    The walk's top pushes its unbuilt weights one simple root up, or is built when it has none.
+    That builds the upper cone: for weights beta < gamma, delta = gamma - beta = sum c_i alpha_i has
+    (delta, delta) > 0, so (delta, alpha_i) > 0 for an i with c_i > 0; <gamma, alpha_i^vee> > 0 and
+    gamma - alpha_i is a weight, or <beta, alpha_i^vee> < 0 and beta + alpha_i is (Humphreys 21.3).
+    By induction a simple-root chain climbs to gamma, all unbuilt: built weights are upward closed.
+    """
     if beta in module._basis:
         return
-    with module._lock:
-        if beta in module._basis:
-            return
-        top = module._order[beta]
-        for gamma, coords in module._order.items():
-            if gamma not in module._basis and all(map(le, coords, top)):
-                _build_weight(module, gamma)
-        if len(module._basis) == len(module._order):
-            lam, built = module.highest, sum(map(len, module._basis.values()))
-            dim = weyl_dimension(module.root_system, lam)
-            if built != dim:
+    with module._lock:  # if another thread built beta meanwhile, beta just pops
+        rs, basis, table, walk = module.root_system, module._basis, module.diagram.table, [beta]
+        while walk:
+            top = walk[-1]
+            ups = [u for a in rs.simple_roots if (u := wadd(top, a)) in table and u not in basis]
+            walk.extend(ups)  # each lies above the whole walk, so no weight is pushed twice
+            if not ups and walk.pop() not in basis:
+                _build_weight(module, top)
+        if len(basis) == len(table):
+            lam, built = module.highest, sum(map(len, basis.values()))
+            if built != (dim := weyl_dimension(rs, lam)):
                 raise InternalError(f"built dim V^{lam} = {built} != Weyl dimension {dim}")
 
 
@@ -177,7 +173,7 @@ def _form(module: RepModule) -> dict[Weight, RationalMatrix]:
     """
     if module._gram is None:
         basis, gram = module._basis, {module.highest: RationalMatrix.identity(1)}
-        for beta in list(module._order)[1:]:  # the labels of V_beta run in order of s[0]
+        for beta in list(basis)[1:]:  # build order; the labels of V_beta run in order of s[0]
             ups = {s[0]: wadd(beta, module.root_system.simple_roots[s[0]]) for s in basis[beta]}
             g = gram[beta] = RationalMatrix.vstack(
                 gram[up].select([basis[up].index(s[1:]) for s in basis[beta] if s[0] == i],

@@ -435,6 +435,17 @@ def test_fz_dimension_lists_each_slice_once(monkeypatch, name, lam, mu):
     assert len(listed) == len(set(listed)) == rs.rank + 2
 
 
+def test_fz_dimension_on_an_empty_target_slice_lists_it_and_ranks_nothing(monkeypatch, a2):
+    """-nu = (-1, 0) is not a weight of V^(1,0) (x) V^0: one listing, no rank, value 0."""
+    listed, ranked = [], []
+    original, rank = fusionkit.fusion._slice_pairs, RationalMatrix.rank
+    monkeypatch.setattr(fusionkit.fusion, "_slice_pairs",
+                        lambda ml, mr, gamma: listed.append(gamma) or original(ml, mr, gamma))
+    monkeypatch.setattr(RationalMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+    assert fz_dimension(a2, 1, (1, 0), (0, 0), (1, 0)) == 0
+    assert (listed, ranked) == ([(-1, 0)], [])
+
+
 def test_fz_cap_and_level_errors(a2):
     with pytest.raises(CapExceededError):
         fz_dimension(a2, 4, (1, 1), (1, 1), (1, 1), max_fz_dim=10)

@@ -553,7 +553,8 @@ def test_a_query_builds_only_the_upper_cone_of_its_weight(monkeypatch, name, k, 
     assert (len(module._basis), len(cone), len(weights)) == sizes
 
 
-@pytest.mark.parametrize("name, k", [("A2", 6), ("G2", 4), ("C3", 2), ("E6", 1)])
+@pytest.mark.parametrize("name, k", [("A2", 6), ("G2", 4), ("C3", 2), ("E6", 1),
+                                     ("B3", 2), ("D4", 1), ("F4", 1)])
 def test_cone_built_blocks_equal_those_of_the_complete_module(name, k):
     """Building only the cone above beta gives every block the complete module has there."""
     from fusionkit import level_alcove
@@ -568,8 +569,12 @@ def test_cone_built_blocks_equal_those_of_the_complete_module(name, k):
             _ensure(part, beta)
             etheta = operator_power_block(part, "etheta", 1, beta)
             assert set(part._basis) == _cone(rs, full.basis_index, beta)
+            built = {gamma: n for n, gamma in enumerate(part._basis)}
             for gamma, labels in part._basis.items():
                 assert labels == full.basis_index[gamma]
+                # built after each weight one simple root above it, as ``_form`` reads them
+                assert all(built[up] < built[gamma] for a in rs.simple_roots
+                           if (up := wadd(gamma, a)) in built)
             assert all(blk == full.lowering[key] for key, blk in part._lowering.items())
             assert all(blk == full.raising[key] for key, blk in part._raising.items())
             assert etheta == theta.get(beta, RationalMatrix.zeros(0, part.dim_at(beta)))
