@@ -1,20 +1,19 @@
 """Weight diagrams of irreducible highest weight modules.
 
-Production diagrams (``weight_diagram``, memoised) come from the Freudenthal
-formula in integers, evaluated on the dominant weights only; each value is
-then written to the whole W-orbit of its weight by walking simple
-reflections, so no Weyl group element is ever built. The independent oracle
-is the Weyl-group recursion ``Mult(nu) = -sum_{w != 1} eps(w) Mult(nu + rho -
-w rho)`` (``recursion_diagram``), whose shifts come from the orbit of rho
-walked the same way. Both tables must be identical, and the sum of all
-multiplicities must match the Weyl dimension formula. Diagrams are stored in
-full (every W-orbit member is a key) so downstream folding sums can read them
-at arbitrary arguments.
+One builder (``_orbit_diagram``) walks the dominant weights of V^lam highest
+first and writes each multiplicity to the whole W-orbit of its weight by
+walking simple reflections, so no Weyl group element is ever built. Two rules
+give the multiplicity: production diagrams (``weight_diagram``, memoised) use
+the Freudenthal formula in integers, and the independent oracle
+(``recursion_diagram``) the Weyl-group recursion ``Mult(nu) = -sum_{w != 1}
+eps(w) Mult(nu + rho - w rho)``. Both tables must be identical, and the
+builder checks that every value is at least 1 and that the total is the Weyl
+dimension. Diagrams are stored in full (every W-orbit member is a key) so
+downstream folding sums can read them at arbitrary arguments.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain
 from math import prod
 from operator import add, mul, sub
@@ -25,11 +24,9 @@ from .rootdata import (
     RootSystem,
     Weight,
     dominant_weights_within,
-    fold_dominant,
     is_dominant,
     require_dominant,
     require_rank,
-    root_lattice_coords,
     shared,
     wadd,
     weyl_orbit,
@@ -73,32 +70,6 @@ def _weyl_formula(rs: RootSystem, lam: Weight) -> int:  # exactly, in integers
     return dim
 
 
-def _support(rs: RootSystem, lam: Weight) -> tuple[dict[Weight, int], dict[Weight, Weight]]:
-    """All weights of V^lam with their depth below lam, and the dominant representative of each.
-
-    A weight of lam's lattice coset belongs to the support exactly when its
-    dominant representative sits below lam in the root-lattice order; the
-    support is connected upward, so a downward breadth-first walk finds it all.
-    """
-    lam = require_dominant(lam)
-    depths, reps = {lam: 0}, {lam: lam}
-    below = cache(lambda rep: root_lattice_coords(rs, rep, lam) is not None)  # once per rep
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            d = depths[nu]
-            for a in rs.simple_roots:
-                cand = tuple(map(sub, nu, a))
-                if cand not in depths:
-                    rep = fold_dominant(rs, cand)[0]
-                    if below(rep):
-                        depths[cand], reps[cand] = d + 1, rep
-                        nxt.append(cand)
-        frontier = nxt
-    return depths, reps
-
-
 def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """The dominant weights of V^lam with their depth below lam.
 
@@ -135,8 +106,31 @@ def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     return _DIAGRAM_MEMO.get(key) or shared(_DIAGRAM_MEMO, key, lambda: freudenthal_diagram(*key))
 
 
+def _orbit_diagram(rs: RootSystem, lam: Weight, rule: str, value) -> WeightDiagram:
+    """The diagram of V^lam from one multiplicity rule, evaluated on the dominant weights.
+
+    Dominant weights are taken highest first, and every weight above nu lies
+    in the orbit of a dominant weight of smaller depth, which is already in
+    the table; ``value(nu, get)`` reads those through ``get``, the table's own
+    ``get``. Each value is written to the W-orbit of its weight. A value below
+    1, or a total other than the Weyl dimension, is an error of ``rule``.
+    """
+    lam = require_rank(rs, lam)
+    depths = dominant_weights(rs, lam)
+    table = dict.fromkeys(chain.from_iterable(weyl_orbit(rs, lam)), 1)
+    for nu in sorted(depths, key=lambda nu: (depths[nu], nu))[1:]:  # lam, at depth 0, is done
+        m = value(nu, table.get)
+        if m < 1:
+            raise InternalError(f"{rule} gives {m} at {nu} in V^{lam}")
+        table.update(dict.fromkeys(chain.from_iterable(weyl_orbit(rs, nu)), m))
+    diagram = WeightDiagram(highest=lam, table=table, root_system=rs)
+    if diagram.dimension != weyl_dimension(rs, lam):
+        raise InternalError(f"the {rule} diagram of V^{lam} totals {diagram.dimension}, not dim V^{lam}")
+    return diagram
+
+
 def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
-    """The Freudenthal formula on the dominant weights, each value written to its W-orbit.
+    """The Freudenthal formula as the rule of ``_orbit_diagram``.
 
     The string sum over nu + j alpha (j >= 1) is kept as a suffix sum
     tail[nu + alpha] = sum_{j >= 1} m(nu + j alpha) D (nu + j alpha, alpha),
@@ -144,7 +138,6 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
     walks up only to that entry, so each string is summed once.
     """
     lam = require_rank(rs, lam)
-    depths = dominant_weights(rs, lam)
     # everything scaled by D = form_den, which cancels in the quotient: D (., alpha) and D |x|^2
     sym, rho = rs.form_num, rs.rho
 
@@ -152,18 +145,14 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
         x = tuple(map(add, x, rho))
         return sum(a * sum(map(mul, row, x)) for a, row in zip(x, sym) if a)
 
-    table = dict.fromkeys(chain.from_iterable(weyl_orbit(rs, lam)), 1)
-    top_norm, get = norm(lam), table.get
+    top_norm = norm(lam)
     # per positive root: alpha, D (., alpha), D (alpha, alpha) and the suffix sums of its strings
     roots = [(alpha, f, sum(map(mul, f, alpha)), {})
              for alpha, f in zip(rs.positive_roots, rs.root_functionals)]
-    for nu in sorted(depths, key=lambda nu: (depths[nu], nu))[1:]:  # lam, at depth 0, is done
-        # Dominant weights are taken highest first, and every weight above nu
-        # lies in the orbit of a dominant weight of smaller depth, which is
-        # already in the table. Weight strings are unbroken, so the walk up
-        # from nu + alpha stops at the top of the string or at the suffix sum
-        # an earlier dominant weight on it left, and each suffix sum is final
-        # when it is written.
+
+    def value(nu: Weight, get) -> int:
+        # Strings are unbroken: the walk up from nu + alpha stops at the top of the
+        # string or at the suffix sum a higher dominant weight left, final when written.
         acc = 0
         for alpha, f, step, tail in roots:
             start = cur = tuple(map(add, nu, alpha))
@@ -175,46 +164,30 @@ def freudenthal_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
             tail[start] = string = string + (rest or 0)
             acc += string
         denom = top_norm - norm(nu)
-        value, rem = divmod(2 * acc, denom)
-        if rem or value < 1:
+        m, rem = divmod(2 * acc, denom)
+        if rem:
             raise InternalError(f"Freudenthal gives {2 * acc}/{denom} at {nu} in V^{lam}")
-        table.update(dict.fromkeys(chain.from_iterable(weyl_orbit(rs, nu)), value))
+        return m
 
-    diagram = WeightDiagram(highest=lam, table=table, root_system=rs)
-    if diagram.dimension != weyl_dimension(rs, lam):
-        raise InternalError(f"the diagram of V^{lam} totals {diagram.dimension}, not dim V^{lam}")
-    return diagram
+    return _orbit_diagram(rs, lam, "Freudenthal", value)
 
 
 def recursion_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
-    """Independent oracle: the Weyl-group recursion on the support found by _support.
+    """Independent oracle: the Weyl-group recursion as the rule of ``_orbit_diagram``.
 
     The shifts rho - w rho come from the orbit of rho walked by simple
     reflections: rho is regular, so each w != 1 appears once, at the depth
     l(w), and eps(w) = (-1)^l(w). rho - w rho is a positive root sum for
-    w != 1, so the recursion only ever consults strictly higher weights. A
-    shifted weight outside the support contributes 0: a weight whose dominant
-    representative has a multiplicity is itself in the support.
+    w != 1, so the recursion only ever reads strictly higher weights, and a
+    shifted weight missing from the table is not a weight: it counts 0.
     """
-    lam = require_rank(rs, lam)
-    depths, reps = _support(rs, lam)
-    # every weight of V^lam folds to a dominant weight of V^lam, which is its own representative
-    dominants = sorted(set(reps.values()), key=lambda nu: (depths[nu], nu))
     shifts = [(tuple(map(sub, rs.rho, x)), -1 if length % 2 else 1)
               for length, level in enumerate(weyl_orbit(rs, rs.rho)) if length for x in level]
-    mult = {lam: 1}
-    for nu in dominants[1:]:  # lam, at depth 0, is done
-        acc = 0
-        for shift, sign in shifts:
-            rep = reps.get(tuple(map(add, nu, shift)))
-            if rep is not None:
-                acc += sign * mult[rep]
-        value = -acc
-        if value < 1:
-            raise InternalError(f"the W-recursion produced {value} at {nu} in V^{lam}")
-        mult[nu] = value
-    table = {nu: mult[rep] for nu, rep in reps.items()}
-    return WeightDiagram(highest=lam, table=table, root_system=rs)
+
+    def value(nu: Weight, get) -> int:
+        return -sum(sign * get(tuple(map(add, nu, shift)), 0) for shift, sign in shifts)
+
+    return _orbit_diagram(rs, lam, "W-recursion", value)
 
 
 def dominant_weights_up_to_dim(rs: RootSystem, dim_cap: int) -> list[Weight]:

@@ -32,6 +32,7 @@ from fusionkit import (
 )
 import fusionkit.fusion
 import fusionkit.multiplicity
+from fusionkit.cli import main
 from fusionkit.errors import InternalError
 from fusionkit.fusion import (
     DEFAULT_FZ_CAP,
@@ -322,10 +323,24 @@ def test_affine_fold_matches_a_breadth_first_search(name):
     assert {sign for _, sign in got.values()} == {-1, 0, 1}
 
 
-def test_affine_fold_that_does_not_terminate_is_an_internal_error(a1, monkeypatch):
+def test_affine_fold_that_does_not_terminate_is_an_internal_error(a1, monkeypatch, capsys):
     monkeypatch.setattr(fusionkit.fusion, "_FOLD_LIMIT", 1)
     with pytest.raises(InternalError, match=r"\(-5,\) at shifted level 4"):
         affine_fold(a1, (-5,), 4)  # (-5,) -> (5,) -> (3,): two passes
+    monkeypatch.setattr(fusionkit.fusion, "_FOLD_LIMIT", 0)
+    assert main(["fusion", "A1", "--level", "1", "--backend", "kacwalton"]) == 1
+    assert re.fullmatch(r"error: affine folding of .* did not end\n", capsys.readouterr().err)
+
+
+def test_a_current_that_does_not_permute_the_alcove_is_an_internal_error(monkeypatch, capsys,
+                                                                          tmp_path):
+    a2 = build_root_system("A2")
+    monkeypatch.setattr(fusionkit.fusion, "current_orbit", lambda rs, k, w: (w, (0,) * rs.rank))
+    with pytest.raises(InternalError, match="level 2 does not permute the alcove"):
+        fusion_table(a2, 2)
+    assert main(["fusion", "A2", "--level", "2", "--cache-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a simple current of {a2} at level 2 does not permute the alcove\n")
 
 
 def test_kac_walton_examples(a1, a2):

@@ -1,4 +1,5 @@
 from functools import cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +16,18 @@ from fusionkit import (
 from fusionkit import fusion, multiplicity, repspace
 from fusionkit.cli import main
 from fusionkit.fusion import level_alcove
+from fusionkit.errors import InternalError
 from fusionkit.multiplicity import dominant_weights, dominant_weights_up_to_dim
 from fusionkit.rootdata import (
     apply_matrix,
+    dominant_weights_within,
     is_weight_of,
     root_lattice_coords,
     root_lattice_depth,
     wadd,
     weyl_elements,
     wneg,
+    wsub,
 )
 
 
@@ -149,12 +153,20 @@ def test_weyl_dimension_is_evaluated_once_per_weight_on_a_cold_table(monkeypatch
 
 
 def test_recursion_oracle_is_independent_of_freudenthal(a2, monkeypatch):
+    """The oracle shares the dominant-weight list and the orbit writer, never a Freudenthal value."""
     def refuse(*args):
         raise AssertionError("the oracle read the production diagram layer")
 
-    for name in ("freudenthal_diagram", "dominant_weights", "weight_diagram"):
+    class RefusedMemo:
+        __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = refuse
+
+    for name in ("freudenthal_diagram", "weight_diagram"):
         monkeypatch.setattr(multiplicity, name, refuse)
-    assert recursion_diagram(a2, (2, 1)).dimension == 15
+    monkeypatch.setattr(multiplicity, "_DIAGRAM_MEMO", RefusedMemo())
+    diagram = recursion_diagram(a2, (2, 1))
+    assert diagram.dimension == 15
+    assert {nu: m for nu, m in diagram.table.items() if min(nu) >= 0} == {
+        (2, 1): 1, (0, 2): 1, (1, 0): 2}
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
@@ -163,6 +175,42 @@ def test_dominant_weight_depths_are_root_lattice_depths(name):
     for lam in _dominants_up_to_300(name):
         depths = dominant_weights(rs, lam)
         assert depths == {nu: root_lattice_depth(rs, nu, lam) for nu in depths}
+        assert set(depths) == _dominant_weights_by_search(rs, lam)
+
+
+def _dominant_weights_by_search(rs, lam):
+    """Every dominant nu in the rational cone below lam, kept when lam - nu is in the root lattice."""
+    def in_cone(nu):
+        return all(sum(map(mul, row, wsub(lam, nu))) >= 0 for row in rs.cartan_inverse_num)
+
+    return {nu for nu in dominant_weights_within(rs.rank, in_cone)
+            if root_lattice_coords(rs, nu, lam) is not None}
+
+
+def _wrong_at_0_1(monkeypatch, wrong):
+    """Every rule passed to the diagram builder returns ``wrong`` at the weight (0, 1)."""
+    build = multiplicity._orbit_diagram
+    monkeypatch.setattr(multiplicity, "_orbit_diagram", lambda rs, lam, rule, value: build(
+        rs, lam, rule, lambda nu, get: wrong if nu == (0, 1) else value(nu, get)))
+
+
+@pytest.mark.parametrize("diagram, rule", [(freudenthal_diagram, "Freudenthal"),
+                                           (recursion_diagram, "W-recursion")])
+@pytest.mark.parametrize("wrong, guard", [(0, r"gives 0 at \(0, 1\) in V\^\(2, 0\)"),
+                                          (2, r"diagram of V\^\(2, 0\) totals 9, not dim")])
+def test_a_wrong_multiplicity_is_an_internal_error_naming_the_rule(a2, monkeypatch, diagram,
+                                                                    rule, wrong, guard):
+    """V^(2, 0) of A2 has the dominant weights (2, 0) and (0, 1), both of multiplicity 1."""
+    _wrong_at_0_1(monkeypatch, wrong)
+    with pytest.raises(InternalError, match=rf"^(the )?{rule} {guard}"):
+        diagram(a2, (2, 0))
+
+
+def test_a_wrong_multiplicity_fails_verify_multiplicity_with_exit_1(monkeypatch, capsys):
+    _wrong_at_0_1(monkeypatch, 0)
+    assert main(["verify", "multiplicity", "--type", "A2"]) == 1
+    # the sweep reads the recursion first, and V^(0, 4) is the first lam with (0, 1) below it
+    assert capsys.readouterr().err == "error: W-recursion gives 0 at (0, 1) in V^(0, 4)\n"
 
 
 @cache
