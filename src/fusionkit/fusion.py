@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from itertools import permutations
+from itertools import accumulate, permutations
+from math import lcm
 from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import CapExceededError, InternalError, ParseError, PreconditionError
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, sparse_rank
 from .multiplicity import weight_diagram, weyl_dimension
 from .repspace import (
     DEFAULT_DIM_CAP,
@@ -268,24 +269,33 @@ def _slice_pairs(mod_l: RepModule, mod_r: RepModule, gamma: Weight):
             if (d2 := get(b2 := tuple(map(sub, gamma, b1))))]
 
 
-def _slice_map(src, tgt, shift: Weight, left, right=None) -> RationalMatrix:
-    """X (x) 1 + 1 (x) Y from the slice listed in src into the slice src + shift, listed in tgt.
+def _map_rows(src, tgt, shift: Weight, left, right=None) -> list[dict[int, int]]:
+    """X (x) 1 + 1 (x) Y from the slice listed in src into the slice src + shift, listed in tgt,
+    as integer rows {column: entry} over the lcm of its blocks' denominators.
 
-    src and tgt are ``_slice_pairs`` lists. left(b1) is the block of X out of
-    V^lam_{b1} and right(b2) that of Y out of V^mu_{b2}; each is read only where
-    its target slot is present. right=None means Y = 0.
+    src and tgt are ``_slice_pairs`` lists; u_i (x) v_j of slot (b1, b2, d1, d2) is at index
+    offset + i * d2 + j. left(b1) is the block of X out of V^lam_{b1} and right(b2) that of Y
+    out of V^mu_{b2}, read where both slots are present; right=None means Y = 0.
     """
-    at = {(b1, b2): t for t, (b1, b2, _, _) in enumerate(tgt)}
-    blocks = {}
-    for s, (b1, b2, d1, d2) in enumerate(src):
-        t = at.get((wadd(b1, shift), b2))
-        if t is not None:
-            blocks[t, s] = left(b1).kron(RationalMatrix.identity(d2))
-        t = at.get((b1, wadd(b2, shift))) if right else None
-        if t is not None:
-            blocks[t, s] = RationalMatrix.identity(d1).kron(right(b2))
-    return RationalMatrix.block([d1 * d2 for *_, d1, d2 in tgt],
-                                [d1 * d2 for *_, d1, d2 in src], blocks)
+    offsets = dict(zip(((b1, b2) for b1, b2, *_ in src),
+                       accumulate((d1 * d2 for *_, d1, d2 in src), initial=0)))
+    reads, base = [], 0  # entry (r, i) of m sits at row base + r step + s row_s, column
+    for b1, b2, d1, d2 in tgt:  # offset + i step + s col_s, for every s < n
+        x, y = wsub(b1, shift), wsub(b2, shift)
+        if (x, b2) in offsets:  # X (x) 1: X[r][i] takes u_i (x) v_s to u_r (x) v_s
+            reads.append((left(x), base, offsets[x, b2], d2, 1, 1, d2))
+        if right and (b1, y) in offsets:  # 1 (x) Y: Y[r][i] takes u_s (x) v_i to u_s (x) v_r
+            reads.append((m := right(y), base, offsets[b1, y], 1, d2, m.cols, d1))
+        base += d1 * d2
+    den = lcm(*(m.den for m, *_ in reads))
+    rows = [{} for _ in range(base)]
+    for m, base, offset, step, row_s, col_s, n in reads:
+        f = den // m.den
+        for r, entries in enumerate(m.num):
+            for i, v in enumerate(entries):
+                for s in range(n if v else 0):
+                    rows[base + r * step + s * row_s][offset + i * step + s * col_s] = f * v
+    return rows
 
 
 def check_fz_cap(rs: RootSystem, lam: Weight, mu: Weight, max_fz_dim: int) -> None:
@@ -304,7 +314,7 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
 
     Counts the u of weight -nu in V^lam (x) V^mu that every f_j (x) 1 + 1 (x) f_j
     kills (lowest weight vectors) and f_theta^p (x) 1 kills, p = k - <nu,theta> + 1:
-    the slice dimension less one rank of those maps stacked. f_theta is the
+    the slice dimension less the ``sparse_rank`` of those maps' integer rows. f_theta is the
     form-adjoint of e_theta and the form is positive definite, so these are the
     invariant maps that kill (e_theta^p V^lam) (x) V^mu. The theta power must act
     on the first tensor factor only (the coproduct variant computes a different,
@@ -318,15 +328,14 @@ def fz_dimension(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,
     pairs = _slice_pairs(mod_l, mod_r, target)
     if not pairs:  # -nu is not a weight of V^lam (x) V^mu
         return 0
-    down = lambda shift, *ops: _slice_map(  # the map out of the target slice into target + shift
+    down = lambda shift, *ops: _map_rows(  # the map out of the target slice into target + shift
         pairs, _slice_pairs(mod_l, mod_r, wadd(target, shift)), shift, *ops)
-    maps = [down(wneg(alpha), partial(operator_power_block, mod_l, f"f{j}", 1),
-                 partial(operator_power_block, mod_r, f"f{j}", 1))
-            for j, alpha in enumerate(rs.simple_roots)]
+    rows = [row for j, alpha in enumerate(rs.simple_roots)
+            for row in down(wneg(alpha), partial(operator_power_block, mod_l, f"f{j}", 1),
+                            partial(operator_power_block, mod_r, f"f{j}", 1))]
     p = k - theta_pairing(rs, nu) + 1
-    maps.append(down(wscale(-p, rs.theta), partial(operator_power_block, mod_l, "ftheta", p)))
-    size = sum(d1 * d2 for *_, d1, d2 in pairs)
-    return size - RationalMatrix.vstack(maps, size).rank()
+    rows += down(wscale(-p, rs.theta), partial(operator_power_block, mod_l, "ftheta", p))
+    return sum(d1 * d2 for *_, d1, d2 in pairs) - sparse_rank(rows)
 
 
 def fusion_coefficient_via_fz(rs: RootSystem, k: int, lam: Weight, mu: Weight, nu: Weight,

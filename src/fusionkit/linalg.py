@@ -1,4 +1,4 @@
-"""Small dense matrices over the exact rationals, stored as integers.
+"""Small matrices over the exact rationals, stored as integers, and one sparse exact rank.
 
 A matrix keeps a tuple of rows of integer numerators ``num`` over one
 positive common denominator ``den``. The pair is normalised so that ``den``
@@ -9,9 +9,9 @@ primitives work on the numerators with Python ints: ``block`` assembles
 sparse blocks over one common denominator (``vstack``, its one-column case,
 is the one stack), ``select`` takes a submatrix, and ``rref`` returns the
 pivot columns and the nonzero rows of the reduced row echelon form.
-``rref``, ``rank``, ``kernel`` and ``inverse`` run one fraction-free
-Gauss-Jordan elimination (Bareiss 1968), after which every pivot equals one
-integer d and the reduced row echelon form is the integer matrix over d.
+``rref``, ``kernel`` and ``inverse`` run one fraction-free Gauss-Jordan
+(Bareiss 1968), after which every pivot is one integer d and the reduced row
+echelon form is the integer matrix over d; ``rank`` is ``sparse_rank``.
 The positive-definiteness test is Sylvester's criterion by Bareiss
 elimination without row swaps. Nothing is ever approximate: a float or a str,
 as an entry or a ``scale`` factor, raises TypeError. ``data`` and
@@ -24,7 +24,9 @@ whose kernel is everything.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -224,8 +226,8 @@ class RationalMatrix:
         return not any(map(any, self.num))
 
     def rank(self) -> int:
-        """The number of pivots Gauss-Jordan finds on the nonzero rows."""
-        return len(_gauss_jordan([list(row) for row in self.num if any(row)], self.cols)[1])
+        """The rank of the numerators, by ``sparse_rank``."""
+        return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in self.num])
 
     def rref(self) -> tuple[list[int], "RationalMatrix"]:
         """Pivot columns and the nonzero rows of the reduced row echelon form.
@@ -294,6 +296,40 @@ def _bareiss_step(row: list[int], prow: list[int], p: int, f: int, prev: int) ->
             raise InternalError(f"inexact Bareiss division by {prev}")
         out.append(q)
     return out
+
+
+def sparse_rank(rows: Iterable[Mapping[int, int]]) -> int:
+    """The rank of integer rows given as {column: nonzero entry} dicts, left unmodified: the
+    live row with the fewest entries pivots on its column c with the fewest live rows, and each
+    other row holding c becomes p * row - f * prow over its gcd. Exact integer arithmetic."""
+    live = {i: row for i, row in enumerate(rows) if row}
+    holders = defaultdict(set)  # column -> the live rows with an entry there
+    for i, row in live.items():
+        for j in row:
+            holders[j].add(i)
+    queue = [(len(row), i) for i, row in live.items()]  # an entry is stale once its row changes
+    heapify(queue)
+    rank = 0
+    while queue:
+        n, k = heappop(queue)
+        if len(prow := live.get(k, ())) != n:
+            continue
+        del live[k]
+        for j in prow:
+            holders[j].discard(k)
+        c = min(prow, key=lambda j: len(holders[j]))
+        p, rank = prow[c], rank + 1
+        for i in holders.pop(c):
+            f, new = live[i][c], {j: p * x for j, x in live[i].items()}
+            for j, x in prow.items():  # only prow's columns change, c to 0
+                new[j] = new.get(j, 0) - f * x
+            g = gcd(*new.values())
+            live[i] = new = {j: x // g for j, x in new.items() if x} if g else {}
+            for j in prow:
+                (holders[j].add if j in new else holders[j].discard)(i)
+            if new:  # an empty row is dependent and never pivots
+                heappush(queue, (len(new), i))
+    return rank
 
 
 def _gauss_jordan(m: list[list[int]], pivot_cols: int) -> tuple[list[list[int]], list[int], int]:

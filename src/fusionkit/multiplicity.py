@@ -1,15 +1,16 @@
 """Weight diagrams of irreducible highest weight modules.
 
 One builder (``_orbit_diagram``) walks the dominant weights of V^lam highest
-first and writes each multiplicity to the whole W-orbit of its weight by
-walking simple reflections, so no Weyl group element is ever built. Two rules
-give the multiplicity: production diagrams (``weight_diagram``, memoised) use
-the Freudenthal formula in integers, and the independent oracle
-(``recursion_diagram``) the Weyl-group recursion ``Mult(nu) = -sum_{w != 1}
-eps(w) Mult(nu + rho - w rho)``. Both tables must be identical, and the
-builder checks that every value is at least 1 and that the total is the Weyl
-dimension. Diagrams are stored in full (every W-orbit member is a key) so
-downstream folding sums can read them at arbitrary arguments.
+first and writes each multiplicity to the W-orbit of its weight, walked by
+simple reflections once per weight and shared (no Weyl group element is ever
+built). Two rules give the multiplicity: production diagrams
+(``weight_diagram``, memoised) use the Freudenthal formula in integers, and
+the independent oracle (``recursion_diagram``) the Weyl-group recursion
+``Mult(nu) = -sum_{w != 1} eps(w) Mult(nu + rho - w rho)``. Both tables must
+be identical, and the builder checks that every value is at least 1 and that
+the total is the Weyl dimension. Diagrams are stored in full (every W-orbit
+member is a key) so downstream folding sums can read them at arbitrary
+arguments.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def dominant_weights(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
 
 
 _DIAGRAM_MEMO: dict[tuple[RootSystem, Weight], WeightDiagram] = {}
+_ORBIT_MEMO: dict[tuple[RootSystem, Weight], tuple[Weight, ...]] = {}  # flattened W-orbits
 
 
 def weight_diagram(rs: RootSystem, lam: Weight) -> WeightDiagram:
@@ -117,12 +119,14 @@ def _orbit_diagram(rs: RootSystem, lam: Weight, rule: str, value) -> WeightDiagr
     """
     lam = require_rank(rs, lam)
     depths = dominant_weights(rs, lam)
-    table = dict.fromkeys(chain.from_iterable(weyl_orbit(rs, lam)), 1)
+    orbit = lambda nu: _ORBIT_MEMO.get((rs, nu)) or shared(  # walked once per (rs, nu)
+        _ORBIT_MEMO, (rs, nu), lambda: tuple(chain.from_iterable(weyl_orbit(rs, nu))))
+    table = dict.fromkeys(orbit(lam), 1)
     for nu in sorted(depths, key=lambda nu: (depths[nu], nu))[1:]:  # lam, at depth 0, is done
         m = value(nu, table.get)
         if m < 1:
             raise InternalError(f"{rule} gives {m} at {nu} in V^{lam}")
-        table.update(dict.fromkeys(chain.from_iterable(weyl_orbit(rs, nu)), m))
+        table.update(dict.fromkeys(orbit(nu), m))
     diagram = WeightDiagram(highest=lam, table=table, root_system=rs)
     if diagram.dimension != weyl_dimension(rs, lam):
         raise InternalError(f"the {rule} diagram of V^{lam} totals {diagram.dimension}, not dim V^{lam}")

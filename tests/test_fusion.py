@@ -31,6 +31,7 @@ from fusionkit import (
     weyl_dimension,
 )
 import fusionkit.fusion
+import fusionkit.linalg
 import fusionkit.multiplicity
 from fusionkit.cli import main
 from fusionkit.errors import InternalError
@@ -38,7 +39,6 @@ from fusionkit.fusion import (
     DEFAULT_FZ_CAP,
     FUSION_BACKENDS,
     _equivalent_triples,
-    _slice_map,
     _slice_pairs,
     affine_fold,
     check_level,
@@ -359,6 +359,28 @@ def test_fz_examples(a1, a2):
     assert fz_dimension(a2, 1, (1, 0), (1, 0), (0, 1)) == 0
 
 
+def _slice_map(src, tgt, shift, left, right=None):
+    """X (x) 1 + 1 (x) Y from the slice listed in src into the slice src + shift, listed in tgt,
+    as one dense block matrix of Kronecker products, independent of the integer rows
+    ``fz_dimension`` writes.
+
+    src and tgt are ``_slice_pairs`` lists. left(b1) is the block of X out of
+    V^lam_{b1} and right(b2) that of Y out of V^mu_{b2}; each is read only where
+    its target slot is present. right=None means Y = 0.
+    """
+    at = {(b1, b2): t for t, (b1, b2, _, _) in enumerate(tgt)}
+    blocks = {}
+    for s, (b1, b2, d1, d2) in enumerate(src):
+        t = at.get((wadd(b1, shift), b2))
+        if t is not None:
+            blocks[t, s] = left(b1).kron(RationalMatrix.identity(d2))
+        t = at.get((b1, wadd(b2, shift))) if right else None
+        if t is not None:
+            blocks[t, s] = RationalMatrix.identity(d1).kron(right(b2))
+    return RationalMatrix.block([d1 * d2 for *_, d1, d2 in tgt],
+                                [d1 * d2 for *_, d1, d2 in src], blocks)
+
+
 def _fz_by_invariant_forms(rs, k, lam, mu, nu):
     """N^(k)_{lam,mu,nu} as invariant forms: the lowest weight vectors u of weight -nu in
     V^lam (x) V^mu (a kernel basis K), less the rank of the pairing <u, (e_theta^p (x) 1) w>
@@ -453,12 +475,33 @@ def test_fz_dimension_lists_each_slice_once(monkeypatch, name, lam, mu):
 def test_fz_dimension_on_an_empty_target_slice_lists_it_and_ranks_nothing(monkeypatch, a2):
     """-nu = (-1, 0) is not a weight of V^(1,0) (x) V^0: one listing, no rank, value 0."""
     listed, ranked = [], []
-    original, rank = fusionkit.fusion._slice_pairs, RationalMatrix.rank
+    original, rank = fusionkit.fusion._slice_pairs, fusionkit.fusion.sparse_rank
     monkeypatch.setattr(fusionkit.fusion, "_slice_pairs",
                         lambda ml, mr, gamma: listed.append(gamma) or original(ml, mr, gamma))
-    monkeypatch.setattr(RationalMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+    monkeypatch.setattr(fusionkit.fusion, "sparse_rank",
+                        lambda rows: ranked.append(rows) or rank(rows))
     assert fz_dimension(a2, 1, (1, 0), (0, 0), (1, 0)) == 0
     assert (listed, ranked) == ([(-1, 0)], [])
+    assert fz_dimension(a2, 1, (1, 0), (0, 1), (0, 0)) == 1  # the patched rank is the one FZ calls
+    assert len(ranked) == 1
+
+
+def test_fz_dimension_never_enters_the_dense_gauss_jordan(monkeypatch):
+    """FZ ranks its stack by ``sparse_rank`` alone. The modules are built first, since a
+    build runs ``rref``; the second sweep then reads only memoised blocks."""
+    cells = {}
+    for name, k in (("A2", 2), ("B2", 1), ("G2", 1)):
+        rs = build_root_system(name)
+        for lam, mu, nu in itertools.product(level_alcove(rs, k), repeat=3):
+            cells[rs, k, lam, mu, nu] = fz_dimension(rs, k, lam, mu, nu)
+
+    def refuse(*_):
+        raise AssertionError("the dense Gauss-Jordan was entered")
+
+    monkeypatch.setattr(fusionkit.linalg, "_gauss_jordan", refuse)
+    for (rs, k, lam, mu, nu), value in cells.items():
+        assert fz_dimension(rs, k, lam, mu, nu) == value
+    assert any(cells.values())
 
 
 def test_fz_cap_and_level_errors(a2):
@@ -774,7 +817,7 @@ def test_every_memo_keys_on_the_shared_root_system(monkeypatch):
 
     for module, memo in ((tensor, "_ORBIT_MEMO"), (repspace, "_MODULE_MEMO"),
                          (rootdata, "_WEYL_MEMO"), (fusionkit.multiplicity, "_DIAGRAM_MEMO"),
-                         (rootdata, "_CURRENT_MEMO")):
+                         (fusionkit.multiplicity, "_ORBIT_MEMO"), (rootdata, "_CURRENT_MEMO")):
         monkeypatch.setattr(module, memo, {})
     a2, b2 = build_root_system("A2"), build_root_system("B2")
     for backend in ("walton", "kacwalton"):
@@ -782,7 +825,8 @@ def test_every_memo_keys_on_the_shared_root_system(monkeypatch):
     tensor_decompose(b2, (1, 0), (0, 1))
     assert rootdata._ROOT_SYSTEM_MEMO[rootdata.CartanType("A", 2)] is a2
     assert set(rootdata._WEYL_MEMO) == {a2, b2}  # a RootSystem compares by identity
-    for memo in (tensor._ORBIT_MEMO, fusionkit.multiplicity._DIAGRAM_MEMO):
+    for memo in (tensor._ORBIT_MEMO, fusionkit.multiplicity._DIAGRAM_MEMO,
+                 fusionkit.multiplicity._ORBIT_MEMO):
         assert {rs for rs, _ in memo} == {a2, b2}
     assert repspace._MODULE_MEMO and all(rs is a2 for rs, _ in repspace._MODULE_MEMO)
     assert rootdata._CURRENT_MEMO and all(rs is a2 for rs, _, _ in rootdata._CURRENT_MEMO)

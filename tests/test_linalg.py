@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit.errors import InternalError
-from fusionkit.linalg import RationalMatrix, _bareiss_step
+from fusionkit.linalg import RationalMatrix, _bareiss_step, sparse_rank
 
 
 def test_kernel_of_zero_matrix_is_everything():
@@ -206,6 +207,53 @@ def test_rank_kernel_inverse_match_reference(drawn):
             aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
             rref, _ = _ref_rref(aug, 2 * n)
             assert _as_lists(inv) == [row[n:] for row in rref]
+
+
+@st.composite
+def _integer_rows(draw):
+    """Integer rows of any density, with zero rows, a zero column and combinations of rows."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.sampled_from((0.1, 0.3, 0.6, 1.0)))
+    entry = st.integers(-6, 6).filter(bool)
+    data = [[draw(entry) if draw(st.floats(0, 1)) < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    if cols and draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in data:
+            row[zero] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        if data:
+            a, b = draw(st.sampled_from(data)), draw(st.sampled_from(data))
+            f = draw(st.integers(-3, 3))
+            data.insert(draw(st.integers(0, len(data))), [f * x + y for x, y in zip(a, b)])
+    for _ in range(draw(st.integers(0, 2))):
+        data.insert(draw(st.integers(0, len(data))), [0] * cols)
+    return data, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_rows())
+def test_sparse_rank_is_the_number_of_rref_pivots(drawn):
+    data, cols = drawn
+    m = RationalMatrix(data, cols)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in data]
+    before = [dict(row) for row in rows]
+    exact = [list(map(Fraction, row)) for row in data]
+    assert m.rank() == sparse_rank(rows) == len(m.rref()[0]) == len(_ref_rref(exact, cols)[1])
+    assert rows == before  # the rows handed in are left as they were
+
+
+def test_sparse_rank_of_dense_integer_matrices_with_entry_growth():
+    """A dense 40 x 30 times 30 x 40 product has rank 30; eliminating it grows its entries."""
+    rnd = random.Random(40)
+    a = [[rnd.randint(-99, 99) for _ in range(30)] for _ in range(40)]
+    b = [[rnd.randint(-99, 99) for _ in range(40)] for _ in range(30)]
+    product = RationalMatrix(a) @ RationalMatrix(b)
+    assert product.rank() == len(product.rref()[0]) == 30
+    big = 10 ** 6
+    square = RationalMatrix([[rnd.randint(-big, big) for _ in range(40)] for _ in range(40)])
+    assert square.rank() == len(square.rref()[0]) == 40
+    assert sparse_rank([{0: 1, 1: 2}, {}, {1: 4, 0: 2}, {2: 3}]) == 2
 
 
 @settings(max_examples=150, deadline=None)

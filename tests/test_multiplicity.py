@@ -169,6 +169,25 @@ def test_recursion_oracle_is_independent_of_freudenthal(a2, monkeypatch):
         (2, 1): 1, (0, 2): 1, (1, 0): 2}
 
 
+@pytest.mark.parametrize("name, lam", [("A2", (2, 1)), ("B3", (1, 0, 1)), ("G2", (1, 1)),
+                                       ("D4", (0, 1, 0, 0))])
+def test_the_recursion_after_the_production_diagram_walks_only_the_orbit_of_rho(monkeypatch,
+                                                                                 name, lam):
+    """Each W-orbit a diagram writes is walked once per (root system, weight) and shared, so
+    the recursion, built after ``weight_diagram``, walks only rho's orbit, for its shifts."""
+    rs = build_root_system(name)
+    monkeypatch.setattr(multiplicity, "_ORBIT_MEMO", {})
+    monkeypatch.setattr(multiplicity, "_DIAGRAM_MEMO", {})
+    walked, walk = [], multiplicity.weyl_orbit
+    monkeypatch.setattr(multiplicity, "weyl_orbit",
+                        lambda rs, mu: walked.append(mu) or walk(rs, mu))
+    production = weight_diagram(rs, lam)
+    assert sorted(walked) == sorted(dominant_weights(rs, lam))  # once per dominant weight
+    walked.clear()
+    assert dict(recursion_diagram(rs, lam).table) == dict(production.table)
+    assert walked == [rs.rho]
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
 def test_dominant_weight_depths_are_root_lattice_depths(name):
     rs = build_root_system(name)
